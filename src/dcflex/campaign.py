@@ -287,6 +287,15 @@ def _run_horizons(worker, payloads, n_workers) -> list:
         return list(pool.map(worker, payloads))
 
 
+def _records_by_cell(outputs) -> dict:
+    """Per-horizon records grouped by cell tuple, in horizon order."""
+    by_cell = {}
+    for out in outputs:
+        for r in out:
+            by_cell.setdefault(r["cell"], []).append(r)
+    return by_cell
+
+
 def _mean(values):
     return float(np.mean(values)) if values else None
 
@@ -317,14 +326,13 @@ def run_flexmax_campaign(
          backend, clusters_per_day, aggregate)
         for h in range(1, n_h + 1)
     ]
-    outputs = _run_horizons(_flexmax_horizon, payloads, n_workers)
+    by_cell = _records_by_cell(_run_horizons(_flexmax_horizon, payloads, n_workers))
 
     cells = {}
     for svc in services:
         for delay in delays:
             key = CellKey(svc.duration_hours, svc.annual_frequency, delay)
-            recs = [r for out in outputs for r in out
-                    if r["cell"] == (svc.duration_hours, svc.annual_frequency, delay)]
+            recs = by_cell.get((svc.duration_hours, svc.annual_frequency, delay), [])
             flex = [r["flex_kw"] for r in recs if r["flex_kw"] is not None]
             mean_flex = _mean(flex)
             cells[key] = CellResult(
@@ -377,16 +385,15 @@ def run_costmin_campaign(
          econ, dq, tighten, master_seed, backend, clusters_per_day, aggregate)
         for h in range(1, n_h + 1)
     ]
-    outputs = _run_horizons(_costmin_horizon, payloads, n_workers)
+    by_cell = _records_by_cell(_run_horizons(_costmin_horizon, payloads, n_workers))
 
     cells = {}
     for svc in services:
         for delay in delays:
             for frac in flex_fractions:
                 key = CellKey(svc.duration_hours, svc.annual_frequency, delay, frac)
-                recs = [r for out in outputs for r in out
-                        if r["cell"] == (svc.duration_hours, svc.annual_frequency,
-                                         delay, frac)]
+                recs = by_cell.get((svc.duration_hours, svc.annual_frequency,
+                                    delay, frac), [])
                 good = [r for r in recs if r["apcof"] is not None]
                 apcof = _mean([r["apcof"] for r in good])
                 aecof = _mean([r["aecof"] for r in good])

@@ -103,41 +103,47 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
 
     Returns integer labels. Points are (start, complete) step pairs, both
     in the same unit, so no feature scaling is applied. Ties in assignment
-    go to the lowest centroid index; empty clusters are dropped by the
-    caller. Deterministic for a given rng state.
+    go to the lowest centroid index; empty clusters keep their centroid and
+    are dropped by the caller. Deterministic for a given rng state.
+
+    The work runs on the distinct points, each weighted by how many rows
+    sit on it, and the labels are bit-identical to clustering every row:
+    each k-means++ draw is still taken over all n rows, with the distances
+    of the distinct points expanded to the rows, so the generator makes the
+    same draws; coordinates are integer steps held in float64, so the
+    weighted centroid sums are exact and sum / count has the bits of the
+    mean over the member rows.
     """
     n = len(points)
-    uniq, inverse = np.unique(points, axis=0, return_inverse=True)
+    uniq, inverse, counts = np.unique(points, axis=0, return_inverse=True,
+                                      return_counts=True)
     if len(uniq) <= k:
         return inverse.astype(np.int64)
+    ux, uy = uniq[:, 0], uniq[:, 1]
 
-    # k-means++ initialization
-    centroids = np.empty((k, points.shape[1]), dtype=np.float64)
-    first = int(rng.integers(n))
-    centroids[0] = points[first]
-    d2 = np.sum((points - centroids[0]) ** 2, axis=1)
+    # k-means++ initialization; with more than k distinct points some point
+    # is never a centroid, so the drawing weights never sum to zero
+    centroids = np.empty((k, 2), dtype=np.float64)
+    centroids[0] = points[int(rng.integers(n))]
+    d2 = (ux - centroids[0, 0]) ** 2 + (uy - centroids[0, 1]) ** 2
     for c in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            centroids[c:] = points[first]
-            break
-        pick = int(rng.choice(n, p=d2 / total))
-        centroids[c] = points[pick]
-        d2 = np.minimum(d2, np.sum((points - centroids[c]) ** 2, axis=1))
+        row_d2 = d2[inverse]
+        centroids[c] = points[int(rng.choice(n, p=row_d2 / row_d2.sum()))]
+        d2 = np.minimum(d2, (ux - centroids[c, 0]) ** 2 + (uy - centroids[c, 1]) ** 2)
 
-    labels = np.zeros(n, dtype=np.int64)
+    labels = np.zeros(len(uniq), dtype=np.int64)
     for _ in range(max_iter):
-        dist = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        dist = (ux[:, None] - centroids[:, 0]) ** 2 + (uy[:, None] - centroids[:, 1]) ** 2
         new_labels = np.argmin(dist, axis=1)
         if np.array_equal(new_labels, labels):
-            labels = new_labels
             break
         labels = new_labels
-        for c in range(k):
-            members = labels == c
-            if members.any():
-                centroids[c] = points[members].mean(axis=0)
-    return labels
+        size = np.bincount(labels, weights=counts, minlength=k)
+        filled = size > 0
+        for axis, coord in enumerate((ux, uy)):
+            total = np.bincount(labels, weights=coord * counts, minlength=k)
+            centroids[filled, axis] = total[filled] / size[filled]
+    return labels[inverse]
 
 
 def aggregate_daily(
@@ -152,7 +158,12 @@ def aggregate_daily(
     on (start, complete) step pairs. Each cluster becomes one job spanning
     the earliest start to the latest completion, with resources chosen so
     the cluster workload is preserved exactly. Empty clusters are dropped.
-    Output is ordered by (day, start, completion) for determinism.
+    Output is ordered by (day, start, completion, first row) for
+    determinism.
+
+    Each cluster's workload is summed over its rows in ascending row
+    order, so together with the bit-identical labels of `_kmeans` the
+    result has the same bits as aggregating job by job.
     """
     if clusters_per_day < 1:
         raise ValueError("clusters_per_day must be >= 1")
@@ -161,6 +172,7 @@ def aggregate_daily(
     seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     per_day = grid.steps_per_day
     day_of = (table.submit_step - 1) // per_day
+    complete = table.complete_step
     out_ids, out_submit, out_steps, out_res = [], [], [], []
     days = np.unique(day_of)
     day_rngs = {int(d): np.random.default_rng(s)
@@ -168,29 +180,26 @@ def aggregate_daily(
     for day in days:
         members = np.flatnonzero(day_of == day)
         starts = table.submit_step[members]
-        completes = table.complete_step[members]
+        completes = complete[members]
         points = np.column_stack([starts, completes]).astype(np.float64)
         labels = _kmeans(points, clusters_per_day, day_rngs[int(day)])
-        clusters = {}
-        for local, lab in enumerate(labels):
-            clusters.setdefault(int(lab), []).append(members[local])
-        ordered = sorted(
-            clusters.values(),
-            key=lambda rows: (int(table.submit_step[rows].min()),
-                              int(table.complete_step[rows].max()),
-                              min(rows)),
-        )
-        for ci, rows in enumerate(ordered):
-            rows = np.asarray(rows)
-            a = int(table.submit_step[rows].min())
-            b = int(table.complete_step[rows].max())
-            agg_steps = b - a + 1
-            work = float(np.sum(table.compute_steps[rows] * table.resources[rows]))
-            out_ids.append(f"d{int(day)}c{ci}")
-            out_submit.append(a)
-            out_steps.append(agg_steps)
-            out_res.append(work / agg_steps)
-    return JobTable(out_ids, out_submit, out_steps, out_res)
+        # rows grouped by cluster, ascending within each cluster
+        order = np.argsort(labels, kind="stable")
+        rows = members[order]
+        _, lo = np.unique(labels[order], return_index=True)
+        hi = np.r_[lo[1:], len(rows)]
+        earliest = np.minimum.reduceat(starts[order], lo)
+        latest = np.maximum.reduceat(completes[order], lo)
+        ranked = np.lexsort((rows[lo], latest, earliest))
+        row_work = table.compute_steps[rows] * table.resources[rows]
+        work = np.array([np.sum(row_work[lo[c]:hi[c]]) for c in ranked])
+        agg_steps = latest[ranked] - earliest[ranked] + 1
+        out_ids.extend(f"d{int(day)}c{ci}" for ci in range(len(ranked)))
+        out_submit.append(earliest[ranked])
+        out_steps.append(agg_steps)
+        out_res.append(work / agg_steps)
+    return JobTable(out_ids, np.concatenate(out_submit), np.concatenate(out_steps),
+                    np.concatenate(out_res))
 
 
 def baseline_profile(table: JobTable, spec: DataCenterSpec, grid: TimeGrid) -> BaselineProfile:

@@ -27,7 +27,6 @@ class SolverBackend:
     capabilities: frozenset = frozenset({"lp", "milp"})
     mip_rel_gap: float = 1e-4
     time_limit_s: float = 600.0
-    feasibility_tol: float = 1e-7
 
     def options(self, is_mip: bool) -> dict:
         opts = {"presolve": True}
@@ -99,7 +98,8 @@ def _decode(model: ModelInstance, values: np.ndarray, status: str,
     p0, f0, s0 = meta["p0"], meta["f0"], meta["s0"]
     power = values[p0:p0 + T].copy()
     flex = values[f0:f0 + T].copy()
-    sustained = values[s0:s0 + len(meta["windows"])].copy()
+    # HiGHS may return sustained values a hair below their lower bound 0
+    sustained = np.maximum(values[s0:s0 + len(meta["windows"])], 0.0)
     mean_flex = float(sustained.mean()) if sustained.size else 0.0
 
     x = _job_dict(meta, values, "x0")

@@ -149,6 +149,94 @@ def test_aggregate_two_cluster_day():
     assert out.resources.tolist() == [pytest.approx(6.0), pytest.approx(12.0)]
 
 
+def _reference_kmeans(points, k, rng, max_iter=50):
+    """The original job-by-job k-means, kept as the bit-exact oracle."""
+    n = len(points)
+    uniq, inverse = np.unique(points, axis=0, return_inverse=True)
+    if len(uniq) <= k:
+        return inverse.astype(np.int64)
+    centroids = np.empty((k, points.shape[1]), dtype=np.float64)
+    first = int(rng.integers(n))
+    centroids[0] = points[first]
+    d2 = np.sum((points - centroids[0]) ** 2, axis=1)
+    for c in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centroids[c:] = points[first]
+            break
+        pick = int(rng.choice(n, p=d2 / total))
+        centroids[c] = points[pick]
+        d2 = np.minimum(d2, np.sum((points - centroids[c]) ** 2, axis=1))
+    labels = np.zeros(n, dtype=np.int64)
+    for _ in range(max_iter):
+        dist = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        new_labels = np.argmin(dist, axis=1)
+        if np.array_equal(new_labels, labels):
+            labels = new_labels
+            break
+        labels = new_labels
+        for c in range(k):
+            members = labels == c
+            if members.any():
+                centroids[c] = points[members].mean(axis=0)
+    return labels
+
+
+def _reference_aggregate_daily(table, grid, clusters_per_day, seed):
+    """The original per-cluster aggregation loop, kept as the bit-exact oracle."""
+    seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    day_of = (table.submit_step - 1) // grid.steps_per_day
+    out_ids, out_submit, out_steps, out_res = [], [], [], []
+    days = np.unique(day_of)
+    day_rngs = {int(d): np.random.default_rng(s)
+                for d, s in zip(days, seed_seq.spawn(len(days)))}
+    for day in days:
+        members = np.flatnonzero(day_of == day)
+        points = np.column_stack([table.submit_step[members],
+                                  table.complete_step[members]]).astype(np.float64)
+        labels = _reference_kmeans(points, clusters_per_day, day_rngs[int(day)])
+        clusters = {}
+        for local, lab in enumerate(labels):
+            clusters.setdefault(int(lab), []).append(members[local])
+        ordered = sorted(
+            clusters.values(),
+            key=lambda rows: (int(table.submit_step[rows].min()),
+                              int(table.complete_step[rows].max()),
+                              min(rows)),
+        )
+        for ci, rows in enumerate(ordered):
+            rows = np.asarray(rows)
+            a = int(table.submit_step[rows].min())
+            b = int(table.complete_step[rows].max())
+            work = float(np.sum(table.compute_steps[rows] * table.resources[rows]))
+            out_ids.append(f"d{int(day)}c{ci}")
+            out_submit.append(a)
+            out_steps.append(b - a + 1)
+            out_res.append(work / (b - a + 1))
+    return JobTable(out_ids, out_submit, out_steps, out_res)
+
+
+def assert_same_bits(got, want):
+    assert got.ids == want.ids
+    assert np.array_equal(got.submit_step, want.submit_step)
+    assert np.array_equal(got.compute_steps, want.compute_steps)
+    assert got.resources.tobytes() == want.resources.tobytes()
+
+
+def dense_day_table(rng, days, jobs_per_day, points_per_day):
+    """Thousands of jobs a day on a few distinct (start, steps) pairs."""
+    submit, steps = [], []
+    for day in range(days):
+        starts = day * 96 + rng.integers(1, 97, points_per_day)
+        lengths = rng.integers(1, 60, points_per_day)
+        pick = rng.integers(0, points_per_day, jobs_per_day)
+        submit.append(starts[pick])
+        steps.append(lengths[pick])
+    n = days * jobs_per_day
+    return JobTable([f"j{i}" for i in range(n)], np.concatenate(submit),
+                    np.concatenate(steps), rng.uniform(0.01, 3.0, n))
+
+
 def test_aggregate_deterministic():
     rng = np.random.default_rng(0)
     table = JobTable(
@@ -163,6 +251,35 @@ def test_aggregate_deterministic():
     assert np.array_equal(a.submit_step, b.submit_step)
     assert np.array_equal(a.resources, b.resources)
     assert abs(a.workload() - table.workload()) / table.workload() < 1e-12
+    assert_same_bits(a, _reference_aggregate_daily(table, GRID, 20, 42))
+
+
+@pytest.mark.parametrize("clusters", [100, 20, 3, 1])
+def test_aggregate_matches_reference_on_dense_days(clusters):
+    # about 150 distinct points a day under 2500 jobs, as on merged traces
+    table = dense_day_table(np.random.default_rng(17), 3, 2500, 150)
+    assert len(np.unique(np.column_stack([table.submit_step, table.complete_step]),
+                         axis=0)) > 3 * 140
+    got = aggregate_daily(table, GRID, clusters, seed=9)
+    assert_same_bits(got, _reference_aggregate_daily(table, GRID, clusters, 9))
+
+
+def test_aggregate_matches_reference_at_most_k_points():
+    # 12 distinct points and 20 clusters: every distinct point is a cluster
+    table = dense_day_table(np.random.default_rng(4), 2, 800, 12)
+    got = aggregate_daily(table, GRID, 20, seed=3)
+    assert len(got) <= 2 * 12
+    assert_same_bits(got, _reference_aggregate_daily(table, GRID, 20, 3))
+
+
+@pytest.mark.parametrize("profile", ["ai_like", "general_like"])
+def test_aggregate_matches_reference_on_synthetic_traces(profile):
+    spec = DataCenterSpec(total_resources=100.0)
+    trace = generate_synthetic_trace(profile, 10, 2, GRID, spec)
+    table = partition_to_horizon(discretize(zero_queue(trace), GRID), (1, 960))
+    for clusters in (100, 20, 3):
+        got = aggregate_daily(table, GRID, clusters, seed=5)
+        assert_same_bits(got, _reference_aggregate_daily(table, GRID, clusters, 5))
 
 
 def test_aggregate_validation():

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from dcflex.model import JobTable
+from dcflex.model import ActivationPlan, JobTable
 from dcflex.preprocess import baseline_profile
 from dcflex.problem import build_costmin, build_flexmax
 from dcflex.solve import (
     SolverBackend,
     TargetUnreachableError,
+    _decode,
     require_optimal,
     solve,
 )
@@ -79,6 +80,22 @@ def test_solution_respects_model_invariants():
         # flexibility identity and objective wiring
         assert np.allclose(sol.flex_kw, base.power_kw - sol.power_kw, atol=tol)
         assert sol.mean_flex_kw == pytest.approx(float(sol.sustained_kw.mean()), abs=1e-12)
+
+
+def test_decode_clamps_sustained_to_lower_bound(tiny_a):
+    # HiGHS can return a sustained value a hair below its lower bound 0
+    jobs, spec, base, _ = tiny_a
+    plan = ActivationPlan(windows=((1, 1), (3, 3)), grid=TINY_GRID)
+    model = build_flexmax(jobs, spec, base, plan)
+    values = np.zeros(len(model.obj))
+    s0 = model.meta["s0"]
+    values[s0:s0 + 2] = [-1e-16, 0.5]
+    sol = _decode(model, values, "optimal", 0.0, None)
+    assert sol.sustained_kw.tolist() == [0.0, 0.5]
+    assert sol.mean_flex_kw == 0.25
+    assert sol.mean_flex_kw == float(sol.sustained_kw.mean())
+    values[s0:s0 + 2] = -1e-16
+    assert _decode(model, values, "optimal", 0.0, None).mean_flex_kw == 0.0
 
 
 def test_backend_capability_check(tiny_a):
