@@ -3,7 +3,13 @@
 A campaign splits a multi-day job table into non-overlapping optimization
 horizons, samples activation windows per (horizon, cell), solves every
 cell and averages per-horizon optima into a grid keyed by
-(duration_hours, annual_frequency, max_delay_frac[, flex_fraction]).
+(duration_hours, annual_frequency, max_delay_frac, flex_fraction).
+
+One engine runs both kinds of campaign. Per horizon, service and delay it
+solves the flexibility LP, then visits each flex fraction: fraction None
+is the flexibility cell (the LP optimum itself), and a number is the cost
+cell at that share of the optimum. A flexibility campaign is the engine
+run with the fractions (None,) alone.
 
 Determinism: every random draw is seeded from
 hash(master_seed, horizon_index, cell_key), so results are bit-identical
@@ -108,7 +114,10 @@ class CellResult:
     windows_evaluated: int
     degenerate: bool
     statuses: tuple
-    gaps: tuple = ()  # per-horizon MIP gaps for limit-status solves, else None
+    # per-horizon MIP gap of each cost record, None where it has none (failed
+    # LP, degenerate target, unusable MILP, cost model without binaries);
+    # () on flexibility cells
+    gaps: tuple = ()
 
     def metrics(self) -> dict:
         out = {}
@@ -206,98 +215,137 @@ def _cell_plan(grid, svc, delay, h, master_seed):
     return sample_activations(grid, svc.window_count, svc.duration_steps, seed)
 
 
-def _flexmax_horizon(payload) -> list:
-    (h, table, spec, grid, services, delays, dq, master_seed, backend,
-     clusters_per_day, aggregate) = payload
-    part, base = _prepare_horizon(table, spec, grid, h, master_seed,
-                                  clusters_per_day, aggregate)
-    records = []
-    for svc in services:
-        for delay in delays:
-            plan = _cell_plan(grid, svc, delay, h, master_seed)
-            sol = solve(build_flexmax(part, spec.with_max_delay(delay), base, plan, dq),
-                        backend)
-            records.append({
-                "cell": (svc.duration_hours, svc.annual_frequency, delay),
-                "status": sol.status,
-                "flex_kw": sol.mean_flex_kw if sol.ok else None,
-            })
-    return records
+def _record(key, status, flex_kw, apcof=None, aecof=None, gap=None, degenerate=False):
+    """One horizon's result for one cell; flex_kw is None unless it is usable."""
+    return {"cell": key, "status": status, "flex_kw": flex_kw, "apcof": apcof,
+            "aecof": aecof, "gap": gap, "degenerate": degenerate}
 
 
-def _costmin_horizon(payload) -> list:
-    (h, table, spec, grid, services, delays, fractions, econ, dq, tighten,
-     master_seed, backend, clusters_per_day, aggregate) = payload
+def _campaign_horizon(payload) -> list:
+    """Every cell of one horizon: the flexibility LP, then each fraction of it.
+
+    Fraction None records the LP optimum itself; a number records the cost
+    MILP at that share of the optimum, or a degenerate zero-cost cell.
+    """
+    (h, table, spec, grid, services, delays, fractions, econ, dq, master_seed,
+     backend, clusters_per_day, aggregate) = payload
     part, base = _prepare_horizon(table, spec, grid, h, master_seed,
                                   clusters_per_day, aggregate)
-    dt_hours = grid.step_hours
     records = []
     for svc in services:
         for delay in delays:
             spec_d = spec.with_max_delay(delay)
             plan = _cell_plan(grid, svc, delay, h, master_seed)
-            flex_sol = solve(build_flexmax(part, spec_d, base, plan, dq), backend)
-            s_max = flex_sol.mean_flex_kw if flex_sol.ok else None
+            lp = solve(build_flexmax(part, spec_d, base, plan, dq), backend)
+            s_max = lp.mean_flex_kw if lp.ok else None
             s_zero_delay = None
-            if dq.enabled and tighten and s_max is not None:
+            if econ is not None and dq.enabled and s_max is not None:
                 zd = solve(build_flexmax(part, spec.with_max_delay(0.0), base, plan, dq),
                            backend)
                 s_zero_delay = zd.mean_flex_kw if zd.ok else 0.0
             for frac in fractions:
-                cell = (svc.duration_hours, svc.annual_frequency, delay, frac)
-                if s_max is None:
-                    records.append({"cell": cell, "status": flex_sol.status,
-                                    "target_kw": None, "apcof": None, "aecof": None,
-                                    "degenerate": False})
+                key = CellKey(svc.duration_hours, svc.annual_frequency, delay, frac)
+                if frac is None or s_max is None:
+                    records.append(_record(key, lp.status, s_max))
                     continue
                 target = frac * s_max
                 if target <= DEGENERATE_FLEX_KW:
-                    records.append({"cell": cell, "status": "optimal",
-                                    "target_kw": target, "apcof": 0.0, "aecof": 0.0,
-                                    "degenerate": True})
+                    records.append(_record(key, "optimal", target, 0.0, 0.0,
+                                           degenerate=True))
                     continue
-                model = build_costmin(part, spec_d, econ, base, plan, target,
-                                      dq=dq, tighten=tighten,
-                                      zero_delay_flex_kw=s_zero_delay)
-                sol = solve(model, backend)
-                usable = sol.ok or (sol.status == "limit" and sol.total_cost is not None)
-                if not usable:
-                    records.append({"cell": cell, "status": sol.status,
-                                    "target_kw": target, "apcof": None, "aecof": None,
-                                    "degenerate": False})
+                sol = solve(build_costmin(part, spec_d, econ, base, plan, target, dq=dq,
+                                          zero_delay_flex_kw=s_zero_delay), backend)
+                if not (sol.ok or (sol.status == "limit" and sol.total_cost is not None)):
+                    records.append(_record(key, sol.status, None))
                     continue
-                shifted_kwh = dt_hours * plan.count * plan.duration_steps * target
+                shifted_kwh = grid.step_hours * plan.count * plan.duration_steps * target
                 price_cost = sol.total_cost - sol.extra_energy_cost
-                records.append({
-                    "cell": cell,
-                    "status": sol.status,
-                    "gap": sol.gap,
-                    "target_kw": target,
-                    "apcof": price_cost / shifted_kwh,
-                    "aecof": sol.extra_energy_cost / shifted_kwh,
-                    "degenerate": False,
-                })
+                records.append(_record(key, sol.status, target, price_cost / shifted_kwh,
+                                       sol.extra_energy_cost / shifted_kwh, gap=sol.gap))
     return records
 
 
-def _run_horizons(worker, payloads, n_workers) -> list:
+def _run_horizons(payloads, n_workers) -> list:
     if n_workers <= 1 or len(payloads) <= 1:
-        return [worker(p) for p in payloads]
+        return [_campaign_horizon(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(worker, payloads))
-
-
-def _records_by_cell(outputs) -> dict:
-    """Per-horizon records grouped by cell tuple, in horizon order."""
-    by_cell = {}
-    for out in outputs:
-        for r in out:
-            by_cell.setdefault(r["cell"], []).append(r)
-    return by_cell
+        return list(pool.map(_campaign_horizon, payloads))
 
 
 def _mean(values):
     return float(np.mean(values)) if values else None
+
+
+def _run_campaign(table, spec, econ, grid, services, delays, fractions, dq, master_seed,
+                  backend, clusters_per_day, aggregate, n_workers) -> CampaignResult:
+    """Solve every horizon and average its records into one cell per key.
+
+    A flexibility campaign is the run with fractions (None,) and no econ.
+    """
+    services = tuple(services)
+    delays = tuple(float(d) for d in delays)
+    n_h = horizon_count(table, grid)
+    payloads = [
+        (h, table, spec, grid, services, delays, fractions, econ, dq, master_seed,
+         backend, clusters_per_day, aggregate)
+        for h in range(1, n_h + 1)
+    ]
+    by_cell = {}
+    for out in _run_horizons(payloads, n_workers):
+        for r in out:
+            by_cell.setdefault(r["cell"], []).append(r)
+
+    cells = {}
+    for svc in services:
+        for delay in delays:
+            for frac in fractions:
+                key = CellKey(svc.duration_hours, svc.annual_frequency, delay, frac)
+                recs = by_cell.get(key, [])
+                good = [r for r in recs if r["flex_kw"] is not None]
+                mean_flex = _mean([r["flex_kw"] for r in good])
+                apcof = aecof = None
+                if frac is not None:
+                    apcof = _mean([r["apcof"] for r in good])
+                    aecof = _mean([r["aecof"] for r in good])
+                cells[key] = CellResult(
+                    duration_hours=svc.duration_hours,
+                    annual_frequency=svc.annual_frequency,
+                    max_delay_frac=delay,
+                    flex_fraction=frac,
+                    mean_flex_kw=mean_flex,
+                    norm_flex=None if mean_flex is None else mean_flex / spec.max_power_kw,
+                    acof=None if apcof is None else apcof + aecof,
+                    apcof=apcof,
+                    aecof=aecof,
+                    windows_evaluated=len(good),
+                    degenerate=any(r["degenerate"] for r in recs),
+                    statuses=tuple(r["status"] for r in recs),
+                    gaps=() if frac is None else tuple(r["gap"] for r in recs),
+                )
+
+    kind = "flexmax" if econ is None else "costmin"
+    config = {
+        "kind": kind,
+        "master_seed": master_seed,
+        "grid": {"step_minutes": grid.step_minutes, "steps": grid.steps,
+                 "origin": grid.origin},
+        "datacenter": asdict(spec),
+        "services": [
+            {"duration_hours": s.duration_hours, "annual_frequency": s.annual_frequency,
+             "duration_steps": s.duration_steps, "window_count": s.window_count}
+            for s in services
+        ],
+        "delays": list(delays),
+        "dynamic_quota": {"enabled": dq.enabled, "speedup": dq.speedup},
+        "backend": {"name": backend.name, "mip_rel_gap": backend.mip_rel_gap,
+                    "time_limit_s": backend.time_limit_s},
+        "clusters_per_day": clusters_per_day,
+        "aggregate": aggregate,
+        "horizons": n_h,
+    }
+    if econ is not None:
+        config.update(flex_fractions=list(fractions), econ=asdict(econ), tighten=True)
+    return CampaignResult(kind=kind, config=config, cells=cells)
 
 
 def run_flexmax_campaign(
@@ -319,37 +367,8 @@ def run_flexmax_campaign(
     per-horizon optima are averaged; per-horizon infeasibility is recorded
     on the cell instead of aborting the campaign.
     """
-    delays = tuple(float(d) for d in delays)
-    n_h = horizon_count(table, grid)
-    payloads = [
-        (h, table, spec, grid, tuple(services), delays, dq, master_seed,
-         backend, clusters_per_day, aggregate)
-        for h in range(1, n_h + 1)
-    ]
-    by_cell = _records_by_cell(_run_horizons(_flexmax_horizon, payloads, n_workers))
-
-    cells = {}
-    for svc in services:
-        for delay in delays:
-            key = CellKey(svc.duration_hours, svc.annual_frequency, delay)
-            recs = by_cell.get((svc.duration_hours, svc.annual_frequency, delay), [])
-            flex = [r["flex_kw"] for r in recs if r["flex_kw"] is not None]
-            mean_flex = _mean(flex)
-            cells[key] = CellResult(
-                duration_hours=svc.duration_hours,
-                annual_frequency=svc.annual_frequency,
-                max_delay_frac=delay,
-                flex_fraction=None,
-                mean_flex_kw=mean_flex,
-                norm_flex=None if mean_flex is None else mean_flex / spec.max_power_kw,
-                acof=None, apcof=None, aecof=None,
-                windows_evaluated=len(flex),
-                degenerate=False,
-                statuses=tuple(r["status"] for r in recs),
-            )
-    config = _campaign_config("flexmax", spec, grid, services, delays, None, None,
-                              dq, master_seed, backend, clusters_per_day, aggregate, n_h)
-    return CampaignResult(kind="flexmax", config=config, cells=cells)
+    return _run_campaign(table, spec, None, grid, services, delays, (None,), dq,
+                         master_seed, backend, clusters_per_day, aggregate, n_workers)
 
 
 def run_costmin_campaign(
@@ -365,87 +384,17 @@ def run_costmin_campaign(
     backend: SolverBackend = DEFAULT_BACKEND,
     clusters_per_day: int = 100,
     aggregate: bool = True,
-    tighten: bool = True,
     n_workers: int = 1,
 ) -> CampaignResult:
     """Average-cost-of-flexibility grid at fractions of the maximum.
 
     Per horizon and cell the flexibility optimum is solved first; each
-    fraction then targets that share of the optimum in a tightened cost
-    minimization. ACoF is total cost divided by shifted energy, split into
-    the computing-price part (APCoF) and the extra-energy part (AECoF,
-    nonzero only under dynamic quota); the decomposition is exact by
-    construction.
+    fraction then targets that share of the optimum in a cost minimization
+    tightened by its valid lower bound. ACoF is total cost divided by
+    shifted energy, split into the computing-price part (APCoF) and the
+    extra-energy part (AECoF, nonzero only under dynamic quota); the
+    decomposition is exact by construction.
     """
-    delays = tuple(float(d) for d in delays)
-    flex_fractions = tuple(float(f) for f in flex_fractions)
-    n_h = horizon_count(table, grid)
-    payloads = [
-        (h, table, spec, grid, tuple(services), delays, flex_fractions,
-         econ, dq, tighten, master_seed, backend, clusters_per_day, aggregate)
-        for h in range(1, n_h + 1)
-    ]
-    by_cell = _records_by_cell(_run_horizons(_costmin_horizon, payloads, n_workers))
-
-    cells = {}
-    for svc in services:
-        for delay in delays:
-            for frac in flex_fractions:
-                key = CellKey(svc.duration_hours, svc.annual_frequency, delay, frac)
-                recs = by_cell.get((svc.duration_hours, svc.annual_frequency,
-                                    delay, frac), [])
-                good = [r for r in recs if r["apcof"] is not None]
-                apcof = _mean([r["apcof"] for r in good])
-                aecof = _mean([r["aecof"] for r in good])
-                targets = [r["target_kw"] for r in good if r["target_kw"] is not None]
-                mean_flex = _mean(targets)
-                cells[key] = CellResult(
-                    duration_hours=svc.duration_hours,
-                    annual_frequency=svc.annual_frequency,
-                    max_delay_frac=delay,
-                    flex_fraction=frac,
-                    mean_flex_kw=mean_flex,
-                    norm_flex=None if mean_flex is None else mean_flex / spec.max_power_kw,
-                    acof=None if apcof is None else apcof + aecof,
-                    apcof=apcof,
-                    aecof=aecof,
-                    windows_evaluated=len(good),
-                    degenerate=any(r["degenerate"] for r in recs),
-                    statuses=tuple(r["status"] for r in recs),
-                    gaps=tuple(r.get("gap") for r in recs),
-                )
-    config = _campaign_config("costmin", spec, grid, services, delays,
-                              tuple(flex_fractions), econ, dq, master_seed, backend,
-                              clusters_per_day, aggregate, n_h, tighten=tighten)
-    return CampaignResult(kind="costmin", config=config, cells=cells)
-
-
-def _campaign_config(kind, spec, grid, services, delays, fractions, econ, dq,
-                     master_seed, backend, clusters_per_day, aggregate, n_horizons,
-                     tighten=None) -> dict:
-    config = {
-        "kind": kind,
-        "master_seed": master_seed,
-        "grid": {"step_minutes": grid.step_minutes, "steps": grid.steps,
-                 "origin": grid.origin},
-        "datacenter": asdict(spec),
-        "services": [
-            {"duration_hours": s.duration_hours, "annual_frequency": s.annual_frequency,
-             "duration_steps": s.duration_steps, "window_count": s.window_count}
-            for s in services
-        ],
-        "delays": list(delays),
-        "dynamic_quota": {"enabled": dq.enabled, "speedup": dq.speedup},
-        "backend": {"name": backend.name, "mip_rel_gap": backend.mip_rel_gap,
-                    "time_limit_s": backend.time_limit_s},
-        "clusters_per_day": clusters_per_day,
-        "aggregate": aggregate,
-        "horizons": n_horizons,
-    }
-    if fractions is not None:
-        config["flex_fractions"] = list(fractions)
-    if econ is not None:
-        config["econ"] = asdict(econ)
-    if tighten is not None:
-        config["tighten"] = tighten
-    return config
+    fractions = tuple(float(f) for f in flex_fractions)
+    return _run_campaign(table, spec, econ, grid, services, delays, fractions, dq,
+                         master_seed, backend, clusters_per_day, aggregate, n_workers)

@@ -138,47 +138,29 @@ def _cmd_preprocess(args, config):
     return 0
 
 
-def _finish_grid(result: CampaignResult, config: dict, out) -> None:
+def _cmd_campaign(args, config):
+    table, grid = _prepare_jobs(args, config)
+    durations, freqs, delays = _campaign_args(args, config)
+    spec = cfg.spec_from_config(config)
+    services = service_grid(durations, freqs, grid)
+    options = dict(
+        dq=cfg.dq_from_config(config),
+        master_seed=args.seed if args.seed is not None else config["campaign"]["master_seed"],
+        backend=cfg.backend_from_config(config),
+        clusters_per_day=config["campaign"]["clusters_per_day"],
+        aggregate=config["campaign"]["aggregate"],
+        n_workers=cfg.resolve_workers(args.workers if args.workers is not None
+                                      else config["campaign"]["workers"]),
+    )
+    if args.command == "costmin":
+        fractions = cfg.parse_float_list(args.fractions or config["campaign"]["fractions"])
+        result = run_costmin_campaign(table, spec, cfg.econ_from_config(config), grid,
+                                      services, delays, fractions, **options)
+    else:
+        result = run_flexmax_campaign(table, spec, grid, services, delays, **options)
     result.config["toolkit"] = config
-    result.write_json(out)
-
-
-def _cmd_flexmax(args, config):
-    table, grid = _prepare_jobs(args, config)
-    durations, freqs, delays = _campaign_args(args, config)
-    result = run_flexmax_campaign(
-        table, cfg.spec_from_config(config), grid,
-        service_grid(durations, freqs, grid), delays,
-        dq=cfg.dq_from_config(config),
-        master_seed=args.seed if args.seed is not None else config["campaign"]["master_seed"],
-        backend=cfg.backend_from_config(config),
-        clusters_per_day=config["campaign"]["clusters_per_day"],
-        aggregate=config["campaign"]["aggregate"],
-        n_workers=cfg.resolve_workers(args.workers if args.workers is not None
-                                      else config["campaign"]["workers"]),
-    )
-    _finish_grid(result, config, args.out)
-    print(f"flexmax grid with {len(result.cells)} cells -> {args.out}")
-    return 0
-
-
-def _cmd_costmin(args, config):
-    table, grid = _prepare_jobs(args, config)
-    durations, freqs, delays = _campaign_args(args, config)
-    fractions = cfg.parse_float_list(args.fractions or config["campaign"]["fractions"])
-    result = run_costmin_campaign(
-        table, cfg.spec_from_config(config), cfg.econ_from_config(config), grid,
-        service_grid(durations, freqs, grid), delays, fractions,
-        dq=cfg.dq_from_config(config),
-        master_seed=args.seed if args.seed is not None else config["campaign"]["master_seed"],
-        backend=cfg.backend_from_config(config),
-        clusters_per_day=config["campaign"]["clusters_per_day"],
-        aggregate=config["campaign"]["aggregate"],
-        n_workers=cfg.resolve_workers(args.workers if args.workers is not None
-                                      else config["campaign"]["workers"]),
-    )
-    _finish_grid(result, config, args.out)
-    print(f"costmin grid with {len(result.cells)} cells -> {args.out}")
+    result.write_json(args.out)
+    print(f"{args.command} grid with {len(result.cells)} cells -> {args.out}")
     return 0
 
 
@@ -212,14 +194,9 @@ def _cmd_scale(args, config):
     result = CampaignResult.read_json(args.grid)
     original = result.config
     nominal_dc = original.get("datacenter", {})
-    nominal_econ_dict = original.get("econ", {})
     if nominal_dc.get("fixed_power_kw", 0.0) != 0.0:
         raise ValueError("grid was not solved with zero fixed power; cannot scale")
-    nominal_econ = EconParams(
-        price_reduction_coeff=nominal_econ_dict.get("price_reduction_coeff", 0.5),
-        hourly_unit_price=nominal_econ_dict.get("hourly_unit_price", 1.0),
-        energy_price=nominal_econ_dict.get("energy_price", 0.05),
-    )
+    nominal_econ = EconParams(**original.get("econ", {}))
     nominal_g = nominal_dc.get("unit_power_kw", 1.0)
     target_nr = args.NR if args.NR is not None else nominal_dc.get("total_resources", 1.0)
     for cell in result.cells.values():
@@ -312,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_preprocess)
 
-    for name, fn in (("flexmax", _cmd_flexmax), ("costmin", _cmd_costmin)):
+    for name in ("flexmax", "costmin"):
         p = sub.add_parser(name, help=f"run the {name} campaign")
         p.add_argument("--trace", required=True)
         p.add_argument("--days", type=int)
@@ -324,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--workers", type=int)
         p.add_argument("--out", required=True)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_cmd_campaign)
 
     p = sub.add_parser("csf", help="estimate cost scaling factors from pricing data")
     p.add_argument("action", choices=("estimate",))

@@ -346,23 +346,19 @@ class BaselineProfile:
 class ScheduleSolution:
     """Decision-variable values of one solved scheduling problem.
 
-    x, z, extra_alloc and run_flag are keyed by (job_id, step) and only hold
-    entries inside each job's available period. Power, flexibility and
-    sustained amounts are dense arrays. Cost fields are None for pure
-    flexibility-maximization solves.
+    Holds what callers read and nothing more. x is keyed by (job_id, step)
+    and only holds entries inside each job's available period; power,
+    flexibility and sustained amounts are dense arrays. The per-job dicts
+    and cost fields are filled by cost-minimization solves only.
     """
 
     status: str                      # optimal | infeasible | unbounded | limit
     objective: float | None
     x: dict
-    z: dict
-    n_preempt: dict
     power_kw: np.ndarray | None
     flex_kw: np.ndarray | None
     sustained_kw: np.ndarray | None
     mean_flex_kw: float | None
-    extra_alloc: dict | None = None          # dynamic-quota allocation
-    run_flag: dict | None = None             # binary running indicators
     end_marker: dict | None = None           # last running step + 1
     delay_frac: dict | None = None
     job_cost: dict | None = None

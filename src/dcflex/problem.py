@@ -316,15 +316,9 @@ def _core(b: _Builder, jobs: JobTable, spec: DataCenterSpec,
 
     return {
         "job_ids": jobs.ids,
-        "job_submit": jobs.submit_step.copy(),
-        "job_steps": jobs.compute_steps.copy(),
-        "job_resources": jobs.resources.copy(),
         "win_a": win_a,
         "win_b": win_b,
         "x0": x0,
-        "z0": z0,
-        "xdq0": xdq0,
-        "np_col": np_col,
         "p0": p0,
         "f0": f0,
         "s0": s0,
@@ -332,7 +326,6 @@ def _core(b: _Builder, jobs: JobTable, spec: DataCenterSpec,
         "dt_hours": grid.step_hours,
         "windows": plan.windows,
         "baseline_power": p_base,
-        "spec": spec,
         "dq": dq,
     }
 
@@ -344,9 +337,6 @@ def build_flexmax(jobs: JobTable, spec: DataCenterSpec, baseline: BaselineProfil
         raise ModelBuildError("activation plan has no windows")
     b = _Builder()
     meta = _core(b, jobs, spec, baseline, plan, dq)
-    meta["kind"] = "flexmax"
-    meta["econ"] = None
-    meta["target_kw"] = None
     s0 = meta["s0"]
     w = 1.0 / plan.count
     return b.build(
@@ -426,7 +416,6 @@ def build_costmin(jobs: JobTable, spec: DataCenterSpec, econ: EconParams,
     b.row("service_target", [s0 + i for i in range(plan.count)],
           [1.0] * plan.count, plan.count * target_kw, INF)
 
-    bound = None
     if tighten:
         bound = tightening_bound(econ, spec, plan, target_kw, dq=dq,
                                  zero_delay_flex_kw=zero_delay_flex_kw)
@@ -442,16 +431,7 @@ def build_costmin(jobs: JobTable, spec: DataCenterSpec, econ: EconParams,
         obj_vals += [pi_dt] * T
         obj_const = -pi_dt * float(np.sum(meta["baseline_power"]))
 
-    meta["kind"] = "costmin"
-    meta["econ"] = econ
-    meta["target_kw"] = target_kw
-    meta["xp_t0"] = xp_t0
-    meta["xp0"] = xp0
-    meta["xp_n"] = xp_n
-    meta["e_col"] = e_col
-    meta["delta_col"] = delta_col
-    meta["c_col"] = c_col
-    meta["tighten_bound"] = bound
+    meta.update(econ=econ, e_col=e_col, delta_col=delta_col, c_col=c_col)
     return b.build("costmin", "min", obj_cols, obj_vals, obj_const, meta)
 
 

@@ -21,10 +21,9 @@ _STATUS = {0: "optimal", 1: "limit", 2: "infeasible", 3: "unbounded", 4: "limit"
 
 @dataclass(frozen=True)
 class SolverBackend:
-    """Capabilities and tolerances of the MILP/LP solver in use."""
+    """Name and tolerances of the MILP/LP solver in use."""
 
     name: str = "highs"
-    capabilities: frozenset = frozenset({"lp", "milp"})
     mip_rel_gap: float = 1e-4
     time_limit_s: float = 600.0
 
@@ -52,8 +51,6 @@ def solve(model: ModelInstance, backend: SolverBackend = DEFAULT_BACKEND) -> Sch
     so infeasibility can only come from the target).
     """
     is_mip = model.n_binary > 0
-    if is_mip and "milp" not in backend.capabilities:
-        raise ValueError(f"backend {backend.name!r} cannot solve MILPs")
     c = model.obj if model.sense == "min" else -model.obj
     res = milp(
         c=c,
@@ -67,7 +64,7 @@ def solve(model: ModelInstance, backend: SolverBackend = DEFAULT_BACKEND) -> Sch
         return ScheduleSolution(
             status=status,
             objective=None,
-            x={}, z={}, n_preempt={},
+            x={},
             power_kw=None, flex_kw=None, sustained_kw=None, mean_flex_kw=None,
             target_unreachable=(model.kind == "costmin" and status == "infeasible"),
         )
@@ -76,19 +73,6 @@ def solve(model: ModelInstance, backend: SolverBackend = DEFAULT_BACKEND) -> Sch
     mip_gap = getattr(res, "mip_gap", None) if is_mip else None
     gap = float(mip_gap) if mip_gap is not None else None
     return _decode(model, values, status, objective, gap)
-
-
-def _job_dict(meta, values, col0_key) -> dict:
-    out = {}
-    col0 = meta[col0_key]
-    if col0 is None:
-        return out
-    for j, jid in enumerate(meta["job_ids"]):
-        a, b = int(meta["win_a"][j]), int(meta["win_b"][j])
-        base = int(col0[j])
-        for off, t in enumerate(range(a, b + 1)):
-            out[(jid, t)] = float(values[base + off])
-    return out
 
 
 def _decode(model: ModelInstance, values: np.ndarray, status: str,
@@ -102,32 +86,22 @@ def _decode(model: ModelInstance, values: np.ndarray, status: str,
     sustained = np.maximum(values[s0:s0 + len(meta["windows"])], 0.0)
     mean_flex = float(sustained.mean()) if sustained.size else 0.0
 
-    x = _job_dict(meta, values, "x0")
-    z = _job_dict(meta, values, "z0")
-    extra = _job_dict(meta, values, "xdq0") if meta["dq"].enabled else None
-    n_preempt = {jid: float(values[int(meta["np_col"][j])])
-                 for j, jid in enumerate(meta["job_ids"])}
+    x = {}
+    for j, jid in enumerate(meta["job_ids"]):
+        a, b, col = int(meta["win_a"][j]), int(meta["win_b"][j]), int(meta["x0"][j])
+        x.update(zip(((jid, t) for t in range(a, b + 1)),
+                     values[col:col + b - a + 1].tolist()))
 
     sol = ScheduleSolution(
         status=status,
         objective=objective,
-        x=x, z=z, n_preempt=n_preempt,
+        x=x,
         power_kw=power, flex_kw=flex, sustained_kw=sustained,
         mean_flex_kw=mean_flex,
-        extra_alloc=extra,
         gap=gap,
     )
     if model.kind == "costmin":
         econ = meta["econ"]
-        run_flag = {}
-        for j, jid in enumerate(meta["job_ids"]):
-            if meta["xp0"][j] < 0:
-                continue
-            base = int(meta["xp0"][j])
-            for k in range(int(meta["xp_n"][j])):
-                t = int(meta["xp_t0"][j]) + k
-                run_flag[(jid, t)] = float(values[base + k])
-        sol.run_flag = run_flag
         sol.end_marker = {jid: float(values[int(meta["e_col"][j])])
                           for j, jid in enumerate(meta["job_ids"])}
         sol.delay_frac = {jid: float(values[int(meta["delta_col"][j])])

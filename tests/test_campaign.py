@@ -1,6 +1,14 @@
+import importlib
+import subprocess
+import sys
+from collections import Counter
+from dataclasses import asdict
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from dcflex import campaign
 from dcflex.campaign import (
     CampaignResult,
     derive_seed,
@@ -127,9 +135,28 @@ def test_costmin_campaign_tiny_a():
     assert full.acof == pytest.approx(0.5, abs=1e-6)  # 0.25 USD over 0.5 kWh
     assert full.aecof == 0.0
     assert full.acof == full.apcof + full.aecof
+    assert full.gaps == (0.0,)
     zero = result.cell(0.25, 2920.0, 1.0, 0.0)
     assert zero.degenerate
     assert zero.acof == 0.0
+    assert zero.gaps == (None,)  # no MILP was solved for a zero target
+
+
+def test_campaign_config_and_gaps_by_kind():
+    jobs, spec = tiny_a_jobs(), tiny_a_spec()
+    services = service_grid([0.25], [2920.0], TINY_GRID)
+    flex = run_flexmax_campaign(jobs, spec, TINY_GRID, services, [1.0]).to_json_dict()
+    cost = run_costmin_campaign(jobs, spec, ECON, TINY_GRID, services, [1.0],
+                                [0.5]).to_json_dict()
+    extra = {"flex_fractions", "econ", "tighten"}
+    assert flex["kind"] == flex["config"]["kind"] == "flexmax"
+    assert not extra & set(flex["config"])
+    assert cost["kind"] == cost["config"]["kind"] == "costmin"
+    assert cost["config"]["flex_fractions"] == [0.5]
+    assert cost["config"]["econ"] == asdict(ECON)
+    assert cost["config"]["tighten"] is True
+    assert all(cell["gaps"] == [] for cell in flex["cells"].values())
+    assert all(len(cell["gaps"]) == 1 for cell in cost["cells"].values())
 
 
 def test_costmin_campaign_tiny_b_dynamic_quota():
@@ -171,13 +198,82 @@ def test_campaign_json_and_csv_round_trip(tmp_path):
     assert "mean_flex_kw" in text
 
 
-def test_campaign_worker_count_invariance():
+def _two_horizons():
+    """Jobs, spec, grid and services of a two-horizon campaign."""
     grid = TimeGrid(15, 8)
     jobs = JobTable(["a", "b", "pad"], [1, 1, 9], [2, 2, 8], [1.0, 1.0, 0.01])
-    spec = tiny_a_spec()
-    services = service_grid([0.25], [2920.0], grid)
+    return jobs, tiny_a_spec(), grid, service_grid([0.25], [2920.0], grid)
+
+
+def test_campaign_worker_count_invariance():
+    jobs, spec, grid, services = _two_horizons()
     one = run_flexmax_campaign(jobs, spec, grid, services, [1.0, 0.5],
                                master_seed=5, n_workers=1)
     two = run_flexmax_campaign(jobs, spec, grid, services, [1.0, 0.5],
                                master_seed=5, n_workers=2)
     assert one.to_json() == two.to_json()
+
+
+def test_costmin_campaign_worker_count_invariance():
+    jobs, spec, grid, services = _two_horizons()
+    one, two = (run_costmin_campaign(jobs, spec, ECON, grid, services, [1.0, 0.5],
+                                     [0.5, 1.0], master_seed=5, n_workers=n)
+                for n in (1, 2))
+    assert one.to_json() == two.to_json()
+    flex = run_flexmax_campaign(jobs, spec, grid, services, [1.0, 0.5], master_seed=5)
+    assert len(one.cells) == 2 * len(flex.cells)
+    for key, cell in one.cells.items():
+        optimum = flex.cell(key.duration_hours, key.annual_frequency, key.max_delay_frac)
+        assert cell.mean_flex_kw == pytest.approx(key.flex_fraction * optimum.mean_flex_kw,
+                                                  rel=1e-12)
+
+
+LAYER_NAMES = ("build_flexmax", "build_costmin", "solve", "sample_activations",
+               "partition_to_horizon", "aggregate_daily", "baseline_profile")
+
+
+def _count_layer_calls(monkeypatch) -> Counter:
+    """Count the calls made through the names a per-layer tracer patches."""
+    counts = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for name in LAYER_NAMES:
+        count(campaign, name)
+    count(importlib.import_module("dcflex.solve"), "milp")
+    return counts
+
+
+def test_campaign_calls_each_layer_through_its_module_name(monkeypatch):
+    jobs, spec, grid, services = _two_horizons()
+    delays = [1.0, 0.5]
+    cells = 2 * len(services) * len(delays)  # (horizon, service, delay) triples
+
+    counts = _count_layer_calls(monkeypatch)
+    run_flexmax_campaign(jobs, spec, grid, services, delays, master_seed=5)
+    assert counts == Counter(build_flexmax=cells, solve=cells, milp=cells,
+                             sample_activations=cells, partition_to_horizon=2,
+                             aggregate_daily=2, baseline_profile=2)
+
+    # under dynamic quota every cell adds its zero-delay LP, and each
+    # fraction but the degenerate 0.0 one adds a cost solve
+    counts.clear()
+    result = run_costmin_campaign(jobs, spec, ECON, grid, services, delays,
+                                  [0.0, 0.5, 1.0], dq=DqParams(True, 0.5), master_seed=5)
+    assert [c.degenerate for c in result.cells.values()] == [True, False, False] * 2
+    assert counts == Counter(build_flexmax=2 * cells, build_costmin=2 * cells,
+                             solve=4 * cells, milp=4 * cells, sample_activations=cells,
+                             partition_to_horizon=2, aggregate_daily=2, baseline_profile=2)
+
+
+def test_bench_output_checks_accept_campaign_results():
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, str(root / "bench" / "check_selftest.py")],
+                          cwd=root, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -5,7 +5,6 @@ from dcflex.model import ActivationPlan, JobTable
 from dcflex.preprocess import baseline_profile
 from dcflex.problem import build_costmin, build_flexmax
 from dcflex.solve import (
-    SolverBackend,
     TargetUnreachableError,
     _decode,
     require_optimal,
@@ -96,14 +95,6 @@ def test_decode_clamps_sustained_to_lower_bound(tiny_a):
     assert sol.mean_flex_kw == float(sol.sustained_kw.mean())
     values[s0:s0 + 2] = -1e-16
     assert _decode(model, values, "optimal", 0.0, None).mean_flex_kw == 0.0
-
-
-def test_backend_capability_check(tiny_a):
-    jobs, spec, base, plan = tiny_a
-    model = build_costmin(jobs, spec, ECON, base, plan, 1.0)
-    lp_only = SolverBackend(name="lp-only", capabilities=frozenset({"lp"}))
-    with pytest.raises(ValueError, match="cannot solve MILPs"):
-        solve(model, lp_only)
 
 
 def test_solve_deterministic(tiny_a):
