@@ -6,10 +6,10 @@ cell and averages per-horizon optima into a grid keyed by
 (duration_hours, annual_frequency, max_delay_frac, flex_fraction).
 
 One engine runs both kinds of campaign. Per horizon, service and delay it
-solves the flexibility LP, then visits each flex fraction: fraction None
-is the flexibility cell (the LP optimum itself), and a number is the cost
-cell at that share of the optimum. A flexibility campaign is the engine
-run with the fractions (None,) alone.
+solves the flexibility LP (0 kW unsolved at zero delay without quota), then
+visits each flex fraction: fraction None is the flexibility cell (the LP
+optimum itself), and a number is the cost cell at that share of the
+optimum. A flexibility campaign is the engine run with fractions (None,).
 
 Determinism: every random draw is seeded from
 hash(master_seed, horizon_index, cell_key), so results are bit-identical
@@ -114,9 +114,9 @@ class CellResult:
     windows_evaluated: int
     degenerate: bool
     statuses: tuple
-    # per-horizon MIP gap of each cost record, None where it has none (failed
-    # LP, degenerate target, unusable MILP, cost model without binaries);
-    # () on flexibility cells
+    # per-horizon MIP gap of each cost record (0.0 for a cost model without
+    # binaries solved to optimality), None where it has none (failed LP,
+    # degenerate target, unusable MILP); () on flexibility cells
     gaps: tuple = ()
 
     def metrics(self) -> dict:
@@ -236,8 +236,13 @@ def _campaign_horizon(payload) -> list:
         for delay in delays:
             spec_d = spec.with_max_delay(delay)
             plan = _cell_plan(grid, svc, delay, h, master_seed)
-            lp = solve(build_flexmax(part, spec_d, base, plan, dq), backend)
-            s_max = lp.mean_flex_kw if lp.ok else None
+            if delay == 0.0 and not dq.enabled:
+                # closed form: each available period is the baseline span, so
+                # completion forces x = 1 (baseline_profile checked it fits)
+                status, s_max = "optimal", 0.0
+            else:
+                lp = solve(build_flexmax(part, spec_d, base, plan, dq), backend)
+                status, s_max = lp.status, (lp.mean_flex_kw if lp.ok else None)
             s_zero_delay = None
             if econ is not None and dq.enabled and s_max is not None:
                 zd = solve(build_flexmax(part, spec.with_max_delay(0.0), base, plan, dq),
@@ -246,7 +251,7 @@ def _campaign_horizon(payload) -> list:
             for frac in fractions:
                 key = CellKey(svc.duration_hours, svc.annual_frequency, delay, frac)
                 if frac is None or s_max is None:
-                    records.append(_record(key, lp.status, s_max))
+                    records.append(_record(key, status, s_max))
                     continue
                 target = frac * s_max
                 if target <= DEGENERATE_FLEX_KW:

@@ -8,7 +8,8 @@ running steps a..b has a computing time of b - a + 1 steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -346,15 +347,14 @@ class BaselineProfile:
 class ScheduleSolution:
     """Decision-variable values of one solved scheduling problem.
 
-    Holds what callers read and nothing more. x is keyed by (job_id, step)
-    and only holds entries inside each job's available period; power,
-    flexibility and sustained amounts are dense arrays. The per-job dicts
-    and cost fields are filled by cost-minimization solves only.
+    Holds what callers read and nothing more. x is keyed by (job_id, step),
+    only holds entries inside each job's available period and is decoded
+    on first read; power, flexibility and sustained amounts are dense
+    arrays. The per-job dicts and cost fields are filled by
+    cost-minimization solves only.
     """
 
     status: str                      # optimal | infeasible | unbounded | limit
-    objective: float | None
-    x: dict
     power_kw: np.ndarray | None
     flex_kw: np.ndarray | None
     sustained_kw: np.ndarray | None
@@ -366,6 +366,11 @@ class ScheduleSolution:
     extra_energy_cost: float | None = None
     target_unreachable: bool = False
     gap: float | None = None
+    decode_x: object = field(default=None, repr=False)  # () -> x, None: no values
+
+    @cached_property
+    def x(self) -> dict:
+        return {} if self.decode_x is None else self.decode_x()
 
     @property
     def ok(self) -> bool:

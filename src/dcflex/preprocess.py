@@ -115,8 +115,12 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
     mean over the member rows.
     """
     n = len(points)
-    uniq, inverse, counts = np.unique(points, axis=0, return_inverse=True,
-                                      return_counts=True)
+    # distinct points in (start, complete) order, through one integer key
+    start, complete = points.T.astype(np.int64)
+    _, first, inverse, counts = np.unique(start * (complete.max() + 1) + complete,
+                                          return_index=True, return_inverse=True,
+                                          return_counts=True)
+    uniq = points[first]
     if len(uniq) <= k:
         return inverse.astype(np.int64)
     ux, uy = uniq[:, 0], uniq[:, 1]

@@ -1,9 +1,13 @@
 """Construction of the flexibility-maximization LP and cost-minimization MILP.
 
 Model building is pure and may run in parallel across horizon/service
-pairs. Variables are named ``x_j_t``, ``z_j_t``, ``s_i`` and so on (j is
-the job's position in the table) and every model can be exported to LP
-text for external inspection.
+pairs. Each family of variables or rows is assembled as whole numpy
+arrays: columns run per job x, z, (xdq), np, then p, f, s, then per job
+(xp), e, delta, c; rows run per job preempt, preempt_total, completion,
+then per step (capacity), power, flex, then sustain, quota_cap, per job
+(runflag, endmark), (endfloor), delay, jobcost, service_target,
+cost_bound. Names such as ``x_j_t`` (j is the job's position in the
+table) are rendered on first read, for LP text export and inspection.
 
 Formulation summary, per job j over its available period [a_j, b_j]:
   x[j,t] in [0,1]      completed workload proportion per step
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -51,7 +56,6 @@ from .model import (
     DataCenterSpec,
     EconParams,
     JobTable,
-    round_half_away,
 )
 
 INF = math.inf
@@ -94,23 +98,30 @@ class ModelInstance:
     sense: str           # "max" | "min"
     obj: np.ndarray
     obj_const: float
-    var_names: list
     var_lb: np.ndarray
     var_ub: np.ndarray
     integrality: np.ndarray
     a_matrix: sparse.csr_matrix
     row_lb: np.ndarray
     row_ub: np.ndarray
-    row_names: list
     meta: dict = field(repr=False)
+    families: tuple = field(repr=False)  # (variable, row) families, for the names
+
+    @cached_property
+    def var_names(self) -> list:
+        return _render(self.families[0], self.n_vars)
+
+    @cached_property
+    def row_names(self) -> list:
+        return _render(self.families[1], self.n_rows)
 
     @property
     def n_vars(self) -> int:
-        return len(self.var_names)
+        return len(self.var_lb)
 
     @property
     def n_rows(self) -> int:
-        return len(self.row_names)
+        return len(self.row_lb)
 
     @property
     def n_binary(self) -> int:
@@ -121,83 +132,90 @@ class ModelInstance:
                 f"rows={self.n_rows}, binaries={self.n_binary})")
 
 
+def _render(families, n) -> list:
+    """Names like x_3_17: the family name, then its index values, joined by _."""
+    names = [""] * n
+    for name, pos, index, *_ in families:
+        for p, *ix in zip(pos.tolist(), *(i.tolist() for i in index)):
+            names[p] = "_".join([name, *map(str, ix)])
+    return names
+
+
+def _ragged(first, count):
+    """(owner, value) of every element of the ranges [first[k], first[k] + count[k])."""
+    owner = np.repeat(np.arange(len(count)), count)
+    return owner, first[owner] + np.arange(len(owner)) - (np.cumsum(count) - count)[owner]
+
+
 class _Builder:
-    """Accumulates variables and rows, then assembles a sparse model."""
+    """Collects variable and row families as whole arrays, then assembles the model.
+
+    A family is one named kind of variable or row (x_j_t, power_t, ...):
+    its positions, the index arrays its names are rendered from, and its
+    bounds. Matrix entries are (row, col, val) arrays in any order.
+    """
 
     def __init__(self):
-        self.names = []
-        self.lb = []
-        self.ub = []
-        self.integer = []
-        self._ri = []
-        self._ci = []
-        self._cv = []
-        self.row_lb = []
-        self.row_ub = []
-        self.row_names = []
+        self.n_vars = self.n_rows = 0
+        self.var_families = []  # (name, cols, index, lb, ub, integer)
+        self.row_families = []  # (name, rows, index, lb, ub)
+        self._entries = []
 
-    def var(self, name, lb, ub, integer=False) -> int:
-        self.names.append(name)
-        self.lb.append(lb)
-        self.ub.append(ub)
-        self.integer.append(1 if integer else 0)
-        return len(self.names) - 1
-
-    def vars(self, names, lb, ub, integer=False) -> int:
-        """Add a contiguous block of variables; returns the first column."""
-        first = len(self.names)
-        self.names.extend(names)
-        n = len(self.names) - first
-        self.lb.extend([lb] * n)
-        self.ub.extend([ub] * n)
-        self.integer.extend([1 if integer else 0] * n)
+    def columns(self, sizes) -> np.ndarray:
+        """Reserve consecutive blocks of columns; returns each block's first."""
+        sizes = np.asarray(sizes, dtype=np.int64)
+        first = self.n_vars + np.cumsum(sizes) - sizes
+        self.n_vars += int(sizes.sum())
         return first
 
-    def row(self, name, cols, vals, lb, ub):
-        r = len(self.row_names)
-        self.row_names.append(name)
-        self._ri.extend([r] * len(cols))
-        self._ci.extend(cols)
-        self._cv.extend(vals)
-        self.row_lb.append(lb)
-        self.row_ub.append(ub)
+    def rows(self, sizes) -> np.ndarray:
+        """Reserve consecutive blocks of rows; returns each block's first."""
+        sizes = np.asarray(sizes, dtype=np.int64)
+        first = self.n_rows + np.cumsum(sizes) - sizes
+        self.n_rows += int(sizes.sum())
+        return first
 
-    def build(self, kind, sense, obj_cols, obj_vals, obj_const, meta) -> ModelInstance:
-        n = len(self.names)
+    def var_family(self, name, cols, index, lb, ub, integer=False):
+        self.var_families.append((name, cols, index, lb, ub, integer))
+
+    def row_family(self, name, rows, index, lb, ub):
+        self.row_families.append((name, rows, index, lb, ub))
+
+    def entries(self, rows, cols, vals):
+        self._entries.append(np.broadcast_arrays(rows, cols, np.asarray(vals, dtype=np.float64)))
+
+    def build(self, kind, sense, objective, obj_const, meta) -> ModelInstance:
+        n, m = self.n_vars, self.n_rows
+        var_lb, var_ub = np.empty(n), np.empty(n)
+        integrality = np.zeros(n, dtype=np.int64)
+        for _, cols, _, lb, ub, integer in self.var_families:
+            var_lb[cols], var_ub[cols], integrality[cols] = lb, ub, int(integer)
+        row_lb, row_ub = np.empty(m), np.empty(m)
+        for _, rows, _, lb, ub in self.row_families:
+            row_lb[rows], row_ub[rows] = lb, ub
         obj = np.zeros(n)
-        if obj_cols:
-            np.add.at(obj, np.asarray(obj_cols), np.asarray(obj_vals, dtype=np.float64))
-        a = sparse.coo_matrix(
-            (np.asarray(self._cv, dtype=np.float64),
-             (np.asarray(self._ri, dtype=np.int64), np.asarray(self._ci, dtype=np.int64))),
-            shape=(len(self.row_names), n),
-        ).tocsr()
+        for cols, vals in objective:
+            obj[cols] += vals
+        ri, ci, cv = (np.concatenate(part) for part in zip(*self._entries))
+        a = sparse.coo_matrix((cv, (ri, ci)), shape=(m, n)).tocsr()
         return ModelInstance(
-            kind=kind,
-            sense=sense,
-            obj=obj,
-            obj_const=obj_const,
-            var_names=self.names,
-            var_lb=np.asarray(self.lb, dtype=np.float64),
-            var_ub=np.asarray(self.ub, dtype=np.float64),
-            integrality=np.asarray(self.integer, dtype=np.int64),
-            a_matrix=a,
-            row_lb=np.asarray(self.row_lb, dtype=np.float64),
-            row_ub=np.asarray(self.row_ub, dtype=np.float64),
-            row_names=self.row_names,
-            meta=meta,
+            kind=kind, sense=sense, obj=obj, obj_const=obj_const,
+            var_lb=var_lb, var_ub=var_ub, integrality=integrality, a_matrix=a,
+            row_lb=row_lb, row_ub=row_ub, meta=meta,
+            families=(self.var_families, self.row_families),
         )
 
 
-def available_window(submit_step: int, compute_steps: int, max_delay_frac: float,
+def available_window(submit_step, compute_steps, max_delay_frac: float,
                      horizon_steps: int) -> tuple:
     """Inclusive (first, last) step a job may run in, clipped to the horizon.
 
-    The span is round((1 + max_delay) * D) steps from submission, so with
-    zero allowed delay it covers exactly the baseline running steps.
+    The span is round((1 + max_delay) * D) steps from submission (halves
+    round up; the delay is non-negative), so with zero allowed delay it
+    covers exactly the baseline running steps. Takes scalars or arrays.
     """
-    span = round_half_away((1.0 + max_delay_frac) * compute_steps)
-    return submit_step, min(horizon_steps, submit_step + span - 1)
+    span = np.floor((1.0 + max_delay_frac) * np.asarray(compute_steps) + 0.5).astype(np.int64)
+    return submit_step, np.minimum(horizon_steps, submit_step + span - 1)
 
 
 def _core(b: _Builder, jobs: JobTable, spec: DataCenterSpec,
@@ -211,123 +229,95 @@ def _core(b: _Builder, jobs: JobTable, spec: DataCenterSpec,
             f"baseline length {p_base.shape} does not match horizon {T}"
         )
 
-    n_jobs = len(jobs)
-    win_a = np.zeros(n_jobs, dtype=np.int64)
-    win_b = np.zeros(n_jobs, dtype=np.int64)
-    job_errors = {}
-    for j in range(n_jobs):
-        a, bb = available_window(int(jobs.submit_step[j]), int(jobs.compute_steps[j]),
-                                 spec.max_delay_frac, T)
-        if a > T:
-            job_errors[jobs.ids[j]] = f"submit step {a} beyond horizon {T}"
-        elif bb - a + 1 < jobs.compute_steps[j]:
-            job_errors[jobs.ids[j]] = (
-                f"available period [{a}, {bb}] shorter than compute time "
-                f"{jobs.compute_steps[j]}"
-            )
-        win_a[j], win_b[j] = a, bb
+    job = np.arange(len(jobs))
+    D = jobs.compute_steps
+    win_a, win_b = available_window(jobs.submit_step.copy(), D, spec.max_delay_frac, T)
+    span = win_b - win_a + 1
+    job_errors = {
+        jobs.ids[j]: f"submit step {win_a[j]} beyond horizon {T}" if win_a[j] > T else
+        f"available period [{win_a[j]}, {win_b[j]}] shorter than compute time {D[j]}"
+        for j in np.flatnonzero((win_a > T) | (span < D))
+    }
     if job_errors:
         raise ModelBuildError(
             f"{len(job_errors)} job(s) have infeasible available periods", job_errors
         )
 
-    x0 = np.zeros(n_jobs, dtype=np.int64)
-    z0 = np.zeros(n_jobs, dtype=np.int64)
-    xdq0 = np.zeros(n_jobs, dtype=np.int64) if dq.enabled else None
-    np_col = np.zeros(n_jobs, dtype=np.int64)
-    for j in range(n_jobs):
-        steps = range(win_a[j], win_b[j] + 1)
-        x0[j] = b.vars([f"x_{j}_{t}" for t in steps], 0.0, 1.0)
-        z0[j] = b.vars([f"z_{j}_{t}" for t in steps], 0.0, 1.0)
-        if dq.enabled:
-            xdq0[j] = b.vars([f"xdq_{j}_{t}" for t in steps], 0.0, 1.0)
-        # preemption budget as a bound: (M^P / dt) * np <= eps * D
-        if spec.preempt_overhead_min > 0:
-            np_cap = spec.preempt_budget_frac * jobs.compute_steps[j] \
-                * grid.step_minutes / spec.preempt_overhead_min
-        else:
-            np_cap = INF
-        np_col[j] = b.var(f"np_{j}", 0.0, np_cap)
+    # one entry per (job, step) of each available period, in job order
+    jj, t = _ragged(win_a, span)
+    off = t - win_a[jj]
+    blocks = 3 if dq.enabled else 2
+    x0 = b.columns(blocks * span + 1)
+    np_col = x0 + blocks * span
+    xc = x0[jj] + off
+    zc = xc + span[jj]
+    b.var_family("x", xc, (jj, t), 0.0, 1.0)
+    b.var_family("z", zc, (jj, t), 0.0, 1.0)
+    if dq.enabled:
+        qc = zc + span[jj]
+        b.var_family("xdq", qc, (jj, t), 0.0, 1.0)
+    # preemption budget as a bound: (M^P / dt) * np <= eps * D
+    if spec.preempt_overhead_min > 0:
+        np_cap = spec.preempt_budget_frac * D * grid.step_minutes / spec.preempt_overhead_min
+    else:
+        np_cap = INF
+    b.var_family("np", np_col, (job,), 0.0, np_cap)
 
-    p0 = b.vars([f"p_{t}" for t in range(1, T + 1)], -INF, INF)
-    f0 = b.vars([f"f_{t}" for t in range(1, T + 1)], -INF, INF)
-    s0 = b.vars([f"s_{i}" for i in range(plan.count)], 0.0, INF)
+    steps = np.arange(1, T + 1)
+    p0, f0, s0 = (int(c) for c in b.columns([T, T, plan.count]))
+    b.var_family("p", p0 + steps - 1, (steps,), -INF, INF)
+    b.var_family("f", f0 + steps - 1, (steps,), -INF, INF)
+    b.var_family("s", s0 + np.arange(plan.count), (np.arange(plan.count),), 0.0, INF)
 
     # preemption counting and completion, per job
-    K = dq.speedup if dq.enabled else 0.0
-    for j in range(n_jobs):
-        a, bb = win_a[j], win_b[j]
-        span = bb - a + 1
-        for off, t in enumerate(range(a, bb + 1)):
-            xc = x0[j] + off
-            cols = [z0[j] + off, xc]
-            vals = [1.0, -1.0]
-            if t + 1 <= bb:
-                cols.append(xc + 1)
-                vals.append(1.0)
-            b.row(f"preempt_{j}_{t}", cols, vals, 0.0, INF)
-        b.row(
-            f"preempt_total_{j}",
-            [np_col[j]] + [z0[j] + off for off in range(span)],
-            [1.0] + [-1.0] * span,
-            -1.0, -1.0,
-        )
-        cols = [x0[j] + off for off in range(span)]
-        vals = [1.0] * span
-        if dq.enabled and K > 0:
-            cols += [xdq0[j] + off for off in range(span)]
-            vals += [K] * span
-        b.row(f"completion_{j}", cols, vals,
-              float(jobs.compute_steps[j]), float(jobs.compute_steps[j]))
+    r_job = b.rows(span + 2)
+    r_pre = r_job[jj] + off
+    b.row_family("preempt", r_pre, (jj, t), 0.0, INF)
+    b.entries(r_pre, zc, 1.0)
+    b.entries(r_pre, xc, -1.0)
+    more = off + 1 < span[jj]
+    b.entries(r_pre[more], xc[more] + 1, 1.0)
+    r_total = r_job + span
+    b.row_family("preempt_total", r_total, (job,), -1.0, -1.0)
+    b.entries(r_total, np_col, 1.0)
+    b.entries(r_total[jj], zc, -1.0)
+    b.row_family("completion", r_total + 1, (job,), D, D)
+    b.entries(r_total[jj] + 1, xc, 1.0)
+    if dq.enabled and dq.speedup > 0:
+        b.entries(r_total[jj] + 1, qc, dq.speedup)
 
-    # per-step capacity and power rows
-    cap_cols = [[] for _ in range(T + 1)]
-    cap_vals = [[] for _ in range(T + 1)]
-    for j in range(n_jobs):
-        res = float(jobs.resources[j])
-        for off, t in enumerate(range(win_a[j], win_b[j] + 1)):
-            cap_cols[t].append(x0[j] + off)
-            cap_vals[t].append(res)
-            if dq.enabled:
-                cap_cols[t].append(xdq0[j] + off)
-                cap_vals[t].append(res)
+    # per-step capacity (only where some job may run) and power rows
+    has_cap = np.bincount(t, minlength=T + 1)[1:] > 0
+    r_cap = b.rows(has_cap + 2)
+    r_power = r_cap + has_cap
+    b.row_family("capacity", r_cap[has_cap], (steps[has_cap],), -INF, spec.total_resources)
+    b.row_family("power", r_power, (steps,), spec.fixed_power_kw, spec.fixed_power_kw)
+    b.row_family("flex", r_power + 1, (steps,), p_base, p_base)
     G = spec.unit_power_kw
-    for t in range(1, T + 1):
-        if cap_cols[t]:
-            b.row(f"capacity_{t}", cap_cols[t], cap_vals[t], -INF, spec.total_resources)
-        b.row(
-            f"power_{t}",
-            [p0 + t - 1] + cap_cols[t],
-            [1.0] + [-G * v for v in cap_vals[t]],
-            spec.fixed_power_kw, spec.fixed_power_kw,
-        )
-        b.row(f"flex_{t}", [f0 + t - 1, p0 + t - 1], [1.0, 1.0],
-              float(p_base[t - 1]), float(p_base[t - 1]))
+    res = jobs.resources[jj]
+    for cols in ((xc, qc) if dq.enabled else (xc,)):
+        b.entries(r_cap[t - 1], cols, res)
+        b.entries(r_power[t - 1], cols, -G * res)
+    b.entries(r_power, p0 + steps - 1, 1.0)
+    b.entries(r_power + 1, f0 + steps - 1, 1.0)
+    b.entries(r_power + 1, p0 + steps - 1, 1.0)
 
-    for i, (wa, wb) in enumerate(plan.windows):
-        for t in range(wa, wb + 1):
-            b.row(f"sustain_{i}_{t}", [f0 + t - 1, s0 + i], [1.0, -1.0], 0.0, INF)
+    windows = np.array(plan.windows, dtype=np.int64).reshape(-1, 2)
+    wi, wt = _ragged(windows[:, 0], windows[:, 1] - windows[:, 0] + 1)
+    r_sus = b.rows(np.ones_like(wi))
+    b.row_family("sustain", r_sus, (wi, wt), 0.0, INF)
+    b.entries(r_sus, f0 + wt - 1, 1.0)
+    b.entries(r_sus, s0 + wi, -1.0)
 
     if dq.enabled:
-        for j in range(n_jobs):
-            for off, t in enumerate(range(win_a[j], win_b[j] + 1)):
-                b.row(f"quota_cap_{j}_{t}", [xdq0[j] + off, x0[j] + off],
-                      [1.0, -1.0], -INF, 0.0)
+        r_quota = b.rows(np.ones_like(jj))
+        b.row_family("quota_cap", r_quota, (jj, t), -INF, 0.0)
+        b.entries(r_quota, qc, 1.0)
+        b.entries(r_quota, xc, -1.0)
 
-    return {
-        "job_ids": jobs.ids,
-        "win_a": win_a,
-        "win_b": win_b,
-        "x0": x0,
-        "p0": p0,
-        "f0": f0,
-        "s0": s0,
-        "T": T,
-        "dt_hours": grid.step_hours,
-        "windows": plan.windows,
-        "baseline_power": p_base,
-        "dq": dq,
-    }
+    return {"job_ids": jobs.ids, "win_a": win_a, "win_b": win_b, "x0": x0,
+            "p0": p0, "f0": f0, "s0": s0, "T": T, "dt_hours": grid.step_hours,
+            "windows": plan.windows, "baseline_power": p_base, "dq": dq}
 
 
 def build_flexmax(jobs: JobTable, spec: DataCenterSpec, baseline: BaselineProfile,
@@ -337,16 +327,8 @@ def build_flexmax(jobs: JobTable, spec: DataCenterSpec, baseline: BaselineProfil
         raise ModelBuildError("activation plan has no windows")
     b = _Builder()
     meta = _core(b, jobs, spec, baseline, plan, dq)
-    s0 = meta["s0"]
-    w = 1.0 / plan.count
-    return b.build(
-        kind="flexmax",
-        sense="max",
-        obj_cols=[s0 + i for i in range(plan.count)],
-        obj_vals=[w] * plan.count,
-        obj_const=0.0,
-        meta=meta,
-    )
+    objective = [(meta["s0"] + np.arange(plan.count), 1.0 / plan.count)]
+    return b.build("flexmax", "max", objective, 0.0, meta)
 
 
 def build_costmin(jobs: JobTable, spec: DataCenterSpec, econ: EconParams,
@@ -369,70 +351,72 @@ def build_costmin(jobs: JobTable, spec: DataCenterSpec, econ: EconParams,
         raise ModelBuildError("activation plan has no windows")
     b = _Builder()
     meta = _core(b, jobs, spec, baseline, plan, dq)
-    n_jobs = len(jobs)
-    win_a, win_b = meta["win_a"], meta["win_b"]
-    x0, s0 = meta["x0"], meta["s0"]
-    dt_hours = meta["dt_hours"]
+    job = np.arange(len(jobs))
+    win_a, win_b, x0 = meta["win_a"], meta["win_b"], meta["x0"]
+    D = jobs.compute_steps.astype(np.float64)
+    done = jobs.submit_step + D  # undelayed completion tS + D, as float
 
     # binary running flags only where the end-marker constraint can bind
-    xp_t0 = np.zeros(n_jobs, dtype=np.int64)
-    xp0 = np.full(n_jobs, -1, dtype=np.int64)
-    xp_n = np.zeros(n_jobs, dtype=np.int64)
-    e_col = np.zeros(n_jobs, dtype=np.int64)
-    delta_col = np.zeros(n_jobs, dtype=np.int64)
-    c_col = np.zeros(n_jobs, dtype=np.int64)
-    for j in range(n_jobs):
-        t_first = int(jobs.submit_step[j] + jobs.compute_steps[j])
-        if t_first <= win_b[j]:
-            steps = range(t_first, win_b[j] + 1)
-            xp0[j] = b.vars([f"xp_{j}_{t}" for t in steps], 0.0, 1.0, integer=True)
-            xp_t0[j] = t_first
-            xp_n[j] = win_b[j] - t_first + 1
-        e_col[j] = b.var(f"e_{j}", 0.0, INF)
-        delta_col[j] = b.var(f"delta_{j}", 0.0, INF)
-        c_col[j] = b.var(f"c_{j}", 0.0, INF)
+    t_first = jobs.submit_step + jobs.compute_steps
+    xp_n = np.maximum(win_b - t_first + 1, 0)
+    xp0 = b.columns(xp_n + 3)
+    e_col = xp0 + xp_n
+    delta_col, c_col = e_col + 1, e_col + 2
+    xj, xt = _ragged(t_first, xp_n)
+    xpc = xp0[xj] + xt - t_first[xj]
+    b.var_family("xp", xpc, (xj, xt), 0.0, 1.0, integer=True)
+    b.var_family("e", e_col, (job,), 0.0, INF)
+    b.var_family("delta", delta_col, (job,), 0.0, INF)
+    b.var_family("c", c_col, (job,), 0.0, INF)
 
-    for j in range(n_jobs):
-        D = float(jobs.compute_steps[j])
-        tS = float(jobs.submit_step[j])
-        for k in range(xp_n[j]):
-            t = xp_t0[j] + k
-            off = t - win_a[j]
-            b.row(f"runflag_{j}_{t}", [xp0[j] + k, x0[j] + off], [1.0, -1.0], 0.0, INF)
-            b.row(f"endmark_{j}_{t}", [e_col[j], xp0[j] + k], [1.0, -float(t)], 1.0, INF)
-        if strengthen and xp_n[j] > 0:
-            # valid strengthening: workload done at or after tS+D occupies at
-            # least that many steps, so the end marker moves past tS+D by it;
-            # never binding at integer optima, but it lets the LP relaxation
-            # price delays without the binaries
-            ext_cols = [x0[j] + (xp_t0[j] - win_a[j]) + k for k in range(xp_n[j])]
-            b.row(f"endfloor_{j}", [e_col[j]] + ext_cols,
-                  [1.0] + [-1.0] * xp_n[j], tS + D, INF)
-        b.row(f"delay_{j}", [delta_col[j], e_col[j]], [D, -1.0], -(tS + D), INF)
-        kappa = econ.price_reduction_coeff * D * dt_hours \
-            * econ.hourly_unit_price * float(jobs.resources[j])
-        b.row(f"jobcost_{j}", [c_col[j], delta_col[j]], [1.0, -kappa], 0.0, INF)
+    floor = (xp_n > 0) & strengthen
+    r_job = b.rows(2 * xp_n + floor + 2)
+    r_run = r_job[xj] + 2 * (xt - t_first[xj])
+    x_late = x0[xj] + xt - win_a[xj]
+    b.row_family("runflag", r_run, (xj, xt), 0.0, INF)
+    b.entries(r_run, xpc, 1.0)
+    b.entries(r_run, x_late, -1.0)
+    b.row_family("endmark", r_run + 1, (xj, xt), 1.0, INF)
+    b.entries(r_run + 1, e_col[xj], 1.0)
+    b.entries(r_run + 1, xpc, -xt.astype(np.float64))
+    # valid strengthening: workload done at or after tS+D occupies at least
+    # that many steps, so the end marker moves past tS+D by it; never
+    # binding at integer optima, but it lets the LP relaxation price delays
+    # without the binaries
+    r_floor = r_job + 2 * xp_n
+    b.row_family("endfloor", r_floor[floor], (job[floor],), done[floor], INF)
+    b.entries(r_floor[floor], e_col[floor], 1.0)
+    if strengthen:
+        b.entries(r_floor[xj], x_late, -1.0)
+    r_delay = r_floor + floor
+    b.row_family("delay", r_delay, (job,), -done, INF)
+    b.entries(r_delay, delta_col, D)
+    b.entries(r_delay, e_col, -1.0)
+    kappa = econ.price_reduction_coeff * D * meta["dt_hours"] \
+        * econ.hourly_unit_price * jobs.resources
+    b.row_family("jobcost", r_delay + 1, (job,), 0.0, INF)
+    b.entries(r_delay + 1, c_col, 1.0)
+    b.entries(r_delay + 1, delta_col, -kappa)
 
-    b.row("service_target", [s0 + i for i in range(plan.count)],
-          [1.0] * plan.count, plan.count * target_kw, INF)
-
+    r_target = b.rows([1])
+    b.row_family("service_target", r_target, (), plan.count * target_kw, INF)
+    b.entries(r_target, meta["s0"] + np.arange(plan.count), 1.0)
     if tighten:
         bound = tightening_bound(econ, spec, plan, target_kw, dq=dq,
                                  zero_delay_flex_kw=zero_delay_flex_kw)
-        b.row("cost_bound", [int(c) for c in c_col], [1.0] * n_jobs, bound, INF)
+        r_bound = b.rows([1])
+        b.row_family("cost_bound", r_bound, (), bound, INF)
+        b.entries(r_bound, c_col, 1.0)
 
-    obj_cols = [c_col[j] for j in range(n_jobs)]
-    obj_vals = [1.0] * n_jobs
+    objective = [(c_col, 1.0)]
     obj_const = 0.0
     if dq.enabled:
-        p0, T = meta["p0"], meta["T"]
-        pi_dt = econ.energy_price * dt_hours
-        obj_cols += [p0 + t for t in range(T)]
-        obj_vals += [pi_dt] * T
+        pi_dt = econ.energy_price * meta["dt_hours"]
+        objective.append((meta["p0"] + np.arange(meta["T"]), pi_dt))
         obj_const = -pi_dt * float(np.sum(meta["baseline_power"]))
 
     meta.update(econ=econ, e_col=e_col, delta_col=delta_col, c_col=c_col)
-    return b.build("costmin", "min", obj_cols, obj_vals, obj_const, meta)
+    return b.build("costmin", "min", objective, obj_const, meta)
 
 
 def tightening_bound(econ: EconParams, spec: DataCenterSpec, plan: ActivationPlan,

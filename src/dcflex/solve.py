@@ -9,6 +9,7 @@ models produce identical solutions regardless of scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -63,20 +64,17 @@ def solve(model: ModelInstance, backend: SolverBackend = DEFAULT_BACKEND) -> Sch
     if res.x is None:
         return ScheduleSolution(
             status=status,
-            objective=None,
-            x={},
             power_kw=None, flex_kw=None, sustained_kw=None, mean_flex_kw=None,
             target_unreachable=(model.kind == "costmin" and status == "infeasible"),
         )
     values = np.asarray(res.x, dtype=np.float64)
-    objective = float(values @ model.obj) + model.obj_const
-    mip_gap = getattr(res, "mip_gap", None) if is_mip else None
-    gap = float(mip_gap) if mip_gap is not None else None
-    return _decode(model, values, status, objective, gap)
+    # an optimal LP (also a cost model without binaries) has no gap left
+    gap = getattr(res, "mip_gap", None) if is_mip else (0.0 if status == "optimal" else None)
+    gap = float(gap) if gap is not None else None
+    return _decode(model, values, status, gap)
 
 
-def _decode(model: ModelInstance, values: np.ndarray, status: str,
-            objective: float, gap) -> ScheduleSolution:
+def _decode(model: ModelInstance, values: np.ndarray, status: str, gap) -> ScheduleSolution:
     meta = model.meta
     T = meta["T"]
     p0, f0, s0 = meta["p0"], meta["f0"], meta["s0"]
@@ -86,28 +84,18 @@ def _decode(model: ModelInstance, values: np.ndarray, status: str,
     sustained = np.maximum(values[s0:s0 + len(meta["windows"])], 0.0)
     mean_flex = float(sustained.mean()) if sustained.size else 0.0
 
-    x = {}
-    for j, jid in enumerate(meta["job_ids"]):
-        a, b, col = int(meta["win_a"][j]), int(meta["win_b"][j]), int(meta["x0"][j])
-        x.update(zip(((jid, t) for t in range(a, b + 1)),
-                     values[col:col + b - a + 1].tolist()))
-
     sol = ScheduleSolution(
         status=status,
-        objective=objective,
-        x=x,
         power_kw=power, flex_kw=flex, sustained_kw=sustained,
         mean_flex_kw=mean_flex,
         gap=gap,
+        decode_x=partial(_x_by_step, meta, values),
     )
     if model.kind == "costmin":
         econ = meta["econ"]
-        sol.end_marker = {jid: float(values[int(meta["e_col"][j])])
-                          for j, jid in enumerate(meta["job_ids"])}
-        sol.delay_frac = {jid: float(values[int(meta["delta_col"][j])])
-                          for j, jid in enumerate(meta["job_ids"])}
-        sol.job_cost = {jid: float(values[int(meta["c_col"][j])])
-                        for j, jid in enumerate(meta["job_ids"])}
+        sol.end_marker, sol.delay_frac, sol.job_cost = (
+            dict(zip(meta["job_ids"], values[meta[col]].tolist()))
+            for col in ("e_col", "delta_col", "c_col"))
         price_cost = float(sum(sol.job_cost.values()))
         if meta["dq"].enabled:
             extra_cost = econ.energy_price * meta["dt_hours"] \
@@ -117,6 +105,14 @@ def _decode(model: ModelInstance, values: np.ndarray, status: str,
         sol.extra_energy_cost = extra_cost
         sol.total_cost = price_cost + extra_cost
     return sol
+
+
+def _x_by_step(meta: dict, values: np.ndarray) -> dict:
+    """x[j, t] keyed by (job_id, step) over each job's available period."""
+    x = values.tolist()
+    return {(jid, t): x[col + t - a] for jid, a, b, col in zip(
+        meta["job_ids"], meta["win_a"].tolist(), meta["win_b"].tolist(), meta["x0"].tolist())
+        for t in range(a, b + 1)}
 
 
 def require_optimal(sol: ScheduleSolution, context: str = "") -> ScheduleSolution:

@@ -270,6 +270,30 @@ def test_campaign_calls_each_layer_through_its_module_name(monkeypatch):
     assert counts == Counter(build_flexmax=2 * cells, build_costmin=2 * cells,
                              solve=4 * cells, milp=4 * cells, sample_activations=cells,
                              partition_to_horizon=2, aggregate_daily=2, baseline_profile=2)
+    # horizon 2 holds only the pad job, whose cost model has no binaries: its
+    # optimal solve reports gap 0.0, not a missing gap
+    assert result.cell(0.25, 2920.0, 1.0, 0.5).gaps == (0.0, 0.0)
+
+
+def test_zero_delay_cells_without_quota_skip_the_lp(monkeypatch):
+    jobs, spec, grid, services = _two_horizons()
+    horizons = 2 * len(services)  # (horizon, service) pairs, one 0.5 LP each
+
+    counts = _count_layer_calls(monkeypatch)
+    result = run_flexmax_campaign(jobs, spec, grid, services, [0.0, 0.5], master_seed=5)
+    assert counts == Counter(build_flexmax=horizons, solve=horizons, milp=horizons,
+                             sample_activations=2 * horizons, partition_to_horizon=2,
+                             aggregate_daily=2, baseline_profile=2)
+    zero = result.cell(0.25, 2920.0, 0.0)
+    assert zero.mean_flex_kw == 0.0 and zero.statuses == ("optimal", "optimal")
+    assert result.cell(0.25, 2920.0, 0.5).mean_flex_kw > 0.0
+
+    # under dynamic quota the zero-delay LP is still solved: quota can shift
+    # power without any delay
+    counts.clear()
+    run_flexmax_campaign(jobs, spec, grid, services, [0.0, 0.5], dq=DqParams(True, 0.5),
+                         master_seed=5)
+    assert counts["build_flexmax"] == counts["milp"] == 2 * horizons
 
 
 def test_bench_output_checks_accept_campaign_results():

@@ -1,7 +1,11 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy import sparse
 
-from dcflex.model import ActivationPlan, JobTable, TimeGrid
+from dcflex.model import ActivationPlan, JobTable, TimeGrid, round_half_away
 from dcflex.preprocess import baseline_profile
 from dcflex.problem import (
     DqParams,
@@ -179,3 +183,282 @@ def test_strengthening_rows_do_not_change_optimum():
         assert strong.total_cost == pytest.approx(plain.total_cost, abs=1e-7)
         checked += 1
     assert checked >= 10
+
+
+# --- frozen reference: the row-by-row builder the array assembly replaced ---
+
+class _ReferenceBuilder:
+    """One Python call per variable block and per row, names built eagerly."""
+
+    def __init__(self):
+        self.names, self.lb, self.ub, self.integer = [], [], [], []
+        self.ri, self.ci, self.cv = [], [], []
+        self.row_lb, self.row_ub, self.row_names = [], [], []
+
+    def vars(self, names, lb, ub, integer=False) -> int:
+        first = len(self.names)
+        self.names.extend(names)
+        n = len(self.names) - first
+        self.lb.extend([lb] * n)
+        self.ub.extend([ub] * n)
+        self.integer.extend([1 if integer else 0] * n)
+        return first
+
+    def row(self, name, cols, vals, lb, ub):
+        r = len(self.row_names)
+        self.row_names.append(name)
+        self.ri.extend([r] * len(cols))
+        self.ci.extend(cols)
+        self.cv.extend(vals)
+        self.row_lb.append(lb)
+        self.row_ub.append(ub)
+
+    def build(self, obj_cols, obj_vals, obj_const, meta) -> dict:
+        n = len(self.names)
+        obj = np.zeros(n)
+        if obj_cols:
+            np.add.at(obj, np.asarray(obj_cols), np.asarray(obj_vals, dtype=np.float64))
+        a = sparse.coo_matrix(
+            (np.asarray(self.cv, dtype=np.float64),
+             (np.asarray(self.ri, dtype=np.int64), np.asarray(self.ci, dtype=np.int64))),
+            shape=(len(self.row_names), n),
+        ).tocsr()
+        return {"obj": obj, "obj_const": obj_const, "var_names": self.names,
+                "var_lb": np.asarray(self.lb, dtype=np.float64),
+                "var_ub": np.asarray(self.ub, dtype=np.float64),
+                "integrality": np.asarray(self.integer, dtype=np.int64), "a_matrix": a,
+                "row_lb": np.asarray(self.row_lb, dtype=np.float64),
+                "row_ub": np.asarray(self.row_ub, dtype=np.float64),
+                "row_names": self.row_names, "meta": meta}
+
+
+def _reference_core(b, jobs, spec, baseline, plan, dq) -> dict:
+    grid = plan.grid
+    T = grid.steps
+    p_base = np.asarray(baseline.power_kw, dtype=np.float64)
+    n_jobs = len(jobs)
+    win_a = np.zeros(n_jobs, dtype=np.int64)
+    win_b = np.zeros(n_jobs, dtype=np.int64)
+    job_errors = {}
+    for j in range(n_jobs):
+        a = int(jobs.submit_step[j])
+        span = round_half_away((1.0 + spec.max_delay_frac) * int(jobs.compute_steps[j]))
+        bb = min(T, a + span - 1)
+        if a > T:
+            job_errors[jobs.ids[j]] = f"submit step {a} beyond horizon {T}"
+        elif bb - a + 1 < jobs.compute_steps[j]:
+            job_errors[jobs.ids[j]] = (
+                f"available period [{a}, {bb}] shorter than compute time "
+                f"{jobs.compute_steps[j]}")
+        win_a[j], win_b[j] = a, bb
+    if job_errors:
+        raise ModelBuildError(
+            f"{len(job_errors)} job(s) have infeasible available periods", job_errors)
+
+    x0 = np.zeros(n_jobs, dtype=np.int64)
+    z0 = np.zeros(n_jobs, dtype=np.int64)
+    xdq0 = np.zeros(n_jobs, dtype=np.int64)
+    np_col = np.zeros(n_jobs, dtype=np.int64)
+    for j in range(n_jobs):
+        steps = range(win_a[j], win_b[j] + 1)
+        x0[j] = b.vars([f"x_{j}_{t}" for t in steps], 0.0, 1.0)
+        z0[j] = b.vars([f"z_{j}_{t}" for t in steps], 0.0, 1.0)
+        if dq.enabled:
+            xdq0[j] = b.vars([f"xdq_{j}_{t}" for t in steps], 0.0, 1.0)
+        if spec.preempt_overhead_min > 0:
+            np_cap = spec.preempt_budget_frac * jobs.compute_steps[j] \
+                * grid.step_minutes / spec.preempt_overhead_min
+        else:
+            np_cap = math.inf
+        np_col[j] = b.vars([f"np_{j}"], 0.0, np_cap)
+    p0 = b.vars([f"p_{t}" for t in range(1, T + 1)], -math.inf, math.inf)
+    f0 = b.vars([f"f_{t}" for t in range(1, T + 1)], -math.inf, math.inf)
+    s0 = b.vars([f"s_{i}" for i in range(plan.count)], 0.0, math.inf)
+
+    K = dq.speedup if dq.enabled else 0.0
+    for j in range(n_jobs):
+        a, bb = win_a[j], win_b[j]
+        span = bb - a + 1
+        for off, t in enumerate(range(a, bb + 1)):
+            xc = x0[j] + off
+            cols, vals = [z0[j] + off, xc], [1.0, -1.0]
+            if t + 1 <= bb:
+                cols.append(xc + 1)
+                vals.append(1.0)
+            b.row(f"preempt_{j}_{t}", cols, vals, 0.0, math.inf)
+        b.row(f"preempt_total_{j}", [np_col[j]] + [z0[j] + off for off in range(span)],
+              [1.0] + [-1.0] * span, -1.0, -1.0)
+        cols, vals = [x0[j] + off for off in range(span)], [1.0] * span
+        if dq.enabled and K > 0:
+            cols += [xdq0[j] + off for off in range(span)]
+            vals += [K] * span
+        b.row(f"completion_{j}", cols, vals,
+              float(jobs.compute_steps[j]), float(jobs.compute_steps[j]))
+
+    cap_cols = [[] for _ in range(T + 1)]
+    cap_vals = [[] for _ in range(T + 1)]
+    for j in range(n_jobs):
+        res = float(jobs.resources[j])
+        for off, t in enumerate(range(win_a[j], win_b[j] + 1)):
+            cap_cols[t].append(x0[j] + off)
+            cap_vals[t].append(res)
+            if dq.enabled:
+                cap_cols[t].append(xdq0[j] + off)
+                cap_vals[t].append(res)
+    G = spec.unit_power_kw
+    for t in range(1, T + 1):
+        if cap_cols[t]:
+            b.row(f"capacity_{t}", cap_cols[t], cap_vals[t], -math.inf, spec.total_resources)
+        b.row(f"power_{t}", [p0 + t - 1] + cap_cols[t], [1.0] + [-G * v for v in cap_vals[t]],
+              spec.fixed_power_kw, spec.fixed_power_kw)
+        b.row(f"flex_{t}", [f0 + t - 1, p0 + t - 1], [1.0, 1.0],
+              float(p_base[t - 1]), float(p_base[t - 1]))
+    for i, (wa, wb) in enumerate(plan.windows):
+        for t in range(wa, wb + 1):
+            b.row(f"sustain_{i}_{t}", [f0 + t - 1, s0 + i], [1.0, -1.0], 0.0, math.inf)
+    if dq.enabled:
+        for j in range(n_jobs):
+            for off, t in enumerate(range(win_a[j], win_b[j] + 1)):
+                b.row(f"quota_cap_{j}_{t}", [xdq0[j] + off, x0[j] + off],
+                      [1.0, -1.0], -math.inf, 0.0)
+    return {"job_ids": jobs.ids, "win_a": win_a, "win_b": win_b, "x0": x0, "p0": p0,
+            "f0": f0, "s0": s0, "T": T, "dt_hours": grid.step_hours,
+            "windows": plan.windows, "baseline_power": p_base, "dq": dq}
+
+
+def _reference_flexmax(jobs, spec, baseline, plan, dq) -> dict:
+    b = _ReferenceBuilder()
+    meta = _reference_core(b, jobs, spec, baseline, plan, dq)
+    return b.build([meta["s0"] + i for i in range(plan.count)],
+                   [1.0 / plan.count] * plan.count, 0.0, meta)
+
+
+def _reference_costmin(jobs, spec, econ, baseline, plan, target_kw, dq, tighten,
+                       zero_delay_flex_kw, strengthen) -> dict:
+    b = _ReferenceBuilder()
+    meta = _reference_core(b, jobs, spec, baseline, plan, dq)
+    n_jobs = len(jobs)
+    win_a, win_b, x0, s0 = meta["win_a"], meta["win_b"], meta["x0"], meta["s0"]
+    xp_t0 = np.zeros(n_jobs, dtype=np.int64)
+    xp0 = np.full(n_jobs, -1, dtype=np.int64)
+    xp_n = np.zeros(n_jobs, dtype=np.int64)
+    e_col = np.zeros(n_jobs, dtype=np.int64)
+    delta_col = np.zeros(n_jobs, dtype=np.int64)
+    c_col = np.zeros(n_jobs, dtype=np.int64)
+    for j in range(n_jobs):
+        t_first = int(jobs.submit_step[j] + jobs.compute_steps[j])
+        if t_first <= win_b[j]:
+            steps = range(t_first, win_b[j] + 1)
+            xp0[j] = b.vars([f"xp_{j}_{t}" for t in steps], 0.0, 1.0, integer=True)
+            xp_t0[j] = t_first
+            xp_n[j] = win_b[j] - t_first + 1
+        e_col[j] = b.vars([f"e_{j}"], 0.0, math.inf)
+        delta_col[j] = b.vars([f"delta_{j}"], 0.0, math.inf)
+        c_col[j] = b.vars([f"c_{j}"], 0.0, math.inf)
+    for j in range(n_jobs):
+        D = float(jobs.compute_steps[j])
+        tS = float(jobs.submit_step[j])
+        for k in range(xp_n[j]):
+            t = xp_t0[j] + k
+            off = t - win_a[j]
+            b.row(f"runflag_{j}_{t}", [xp0[j] + k, x0[j] + off], [1.0, -1.0], 0.0, math.inf)
+            b.row(f"endmark_{j}_{t}", [e_col[j], xp0[j] + k], [1.0, -float(t)], 1.0,
+                  math.inf)
+        if strengthen and xp_n[j] > 0:
+            ext_cols = [x0[j] + (xp_t0[j] - win_a[j]) + k for k in range(xp_n[j])]
+            b.row(f"endfloor_{j}", [e_col[j]] + ext_cols, [1.0] + [-1.0] * xp_n[j],
+                  tS + D, math.inf)
+        b.row(f"delay_{j}", [delta_col[j], e_col[j]], [D, -1.0], -(tS + D), math.inf)
+        kappa = econ.price_reduction_coeff * D * meta["dt_hours"] \
+            * econ.hourly_unit_price * float(jobs.resources[j])
+        b.row(f"jobcost_{j}", [c_col[j], delta_col[j]], [1.0, -kappa], 0.0, math.inf)
+    b.row("service_target", [s0 + i for i in range(plan.count)], [1.0] * plan.count,
+          plan.count * target_kw, math.inf)
+    if tighten:
+        bound = tightening_bound(econ, spec, plan, target_kw, dq=dq,
+                                 zero_delay_flex_kw=zero_delay_flex_kw)
+        b.row("cost_bound", [int(c) for c in c_col], [1.0] * n_jobs, bound, math.inf)
+    obj_cols, obj_vals, obj_const = [c_col[j] for j in range(n_jobs)], [1.0] * n_jobs, 0.0
+    if dq.enabled:
+        pi_dt = econ.energy_price * meta["dt_hours"]
+        obj_cols += [meta["p0"] + t for t in range(meta["T"])]
+        obj_vals += [pi_dt] * meta["T"]
+        obj_const = -pi_dt * float(np.sum(meta["baseline_power"]))
+    meta.update(econ=econ, e_col=e_col, delta_col=delta_col, c_col=c_col)
+    return b.build(obj_cols, obj_vals, obj_const, meta)
+
+
+def _assert_same_model(model, ref):
+    """Byte-identical matrix, bounds, objective, names and decode map."""
+    def same(a, b, what):
+        assert a.dtype == b.dtype and a.shape == b.shape, what
+        assert a.tobytes() == b.tobytes(), what
+
+    for part in ("data", "indices", "indptr"):
+        same(getattr(model.a_matrix, part), getattr(ref["a_matrix"], part), part)
+    for name in ("var_lb", "var_ub", "row_lb", "row_ub", "obj", "integrality"):
+        same(getattr(model, name), ref[name], name)
+    assert model.a_matrix.shape == ref["a_matrix"].shape
+    assert model.obj_const == ref["obj_const"]
+    assert model.var_names == ref["var_names"]
+    assert model.row_names == ref["row_names"]
+    assert model.meta.keys() == ref["meta"].keys()
+    for key, value in ref["meta"].items():
+        if isinstance(value, np.ndarray):
+            same(model.meta[key], value, key)
+        else:
+            assert model.meta[key] == value and type(model.meta[key]) is type(value), key
+
+
+def _reference_cases():
+    """Seeded instances over every build switch, plus the edge cases by name."""
+    rng = np.random.default_rng(20)
+    for _ in range(40):
+        delay = float(rng.choice([0.0, 0.3, 1.0, 3.0]))  # 3.0 clips most windows
+        grid, jobs, spec, base = random_instance(rng, max_jobs=6, max_delay_frac=delay)
+        if rng.random() < 0.25:
+            spec = replace(spec, preempt_overhead_min=0.0)
+        dq = DqParams(bool(rng.random() < 0.5), float(rng.choice([0.0, 0.5, 1.0])))
+        yield (jobs, spec, base, random_plan(rng, grid), dq, float(rng.uniform(0.0, 2.0)),
+               bool(rng.random() < 0.5), bool(rng.random() < 0.5))
+    grid = TimeGrid(15, 6)
+    spec = tiny_a_spec()
+    empty = JobTable.empty()
+    plan = ActivationPlan(windows=((2, 3), (5, 6)), grid=grid)
+    for dq in (DqParams(), DqParams(True, 0.5)):
+        yield empty, spec, baseline_profile(empty, spec, grid), plan, dq, 0.0, True, True
+
+
+def test_array_assembly_matches_reference_builder():
+    """build_flexmax/build_costmin equal the row-by-row builder byte for byte."""
+    clipped = checked = 0
+    for jobs, spec, base, plan, dq, target, tighten, strengthen in _reference_cases():
+        try:
+            ref = _reference_flexmax(jobs, spec, base, plan, dq)
+        except ModelBuildError as err:
+            with pytest.raises(ModelBuildError) as got:
+                build_flexmax(jobs, spec, base, plan, dq)
+            assert str(got.value) == str(err) and got.value.job_errors == err.job_errors
+            continue
+        _assert_same_model(build_flexmax(jobs, spec, base, plan, dq), ref)
+        args = (jobs, spec, ECON, base, plan, target, dq, tighten, 0.25, strengthen)
+        _assert_same_model(build_costmin(*args), _reference_costmin(*args))
+        steps = plan.grid.steps
+        clipped += any(int(a) + round_half_away((1.0 + spec.max_delay_frac) * int(d)) - 1
+                       > steps for a, d in zip(jobs.submit_step, jobs.compute_steps))
+        checked += 1
+    assert checked >= 30 and clipped >= 5
+
+
+def test_array_assembly_matches_reference_on_build_errors():
+    grid = TimeGrid(15, 4)
+    spec = tiny_a_spec(max_delay_frac=0.0)
+    base = baseline_profile(JobTable.empty(), spec, grid)
+    plan = ActivationPlan(windows=((1, 1),), grid=grid)
+    jobs = JobTable(["ok", "late", "long"], [1, 5, 3], [1, 1, 3], [1.0, 1.0, 1.0])
+    with pytest.raises(ModelBuildError) as ref:
+        _reference_flexmax(jobs, spec, base, plan, DqParams())
+    with pytest.raises(ModelBuildError) as got:
+        build_flexmax(jobs, spec, base, plan)
+    assert str(got.value) == str(ref.value)
+    assert list(got.value.job_errors.items()) == list(ref.value.job_errors.items())

@@ -89,12 +89,12 @@ def test_decode_clamps_sustained_to_lower_bound(tiny_a):
     values = np.zeros(len(model.obj))
     s0 = model.meta["s0"]
     values[s0:s0 + 2] = [-1e-16, 0.5]
-    sol = _decode(model, values, "optimal", 0.0, None)
+    sol = _decode(model, values, "optimal", None)
     assert sol.sustained_kw.tolist() == [0.0, 0.5]
     assert sol.mean_flex_kw == 0.25
     assert sol.mean_flex_kw == float(sol.sustained_kw.mean())
     values[s0:s0 + 2] = -1e-16
-    assert _decode(model, values, "optimal", 0.0, None).mean_flex_kw == 0.0
+    assert _decode(model, values, "optimal", None).mean_flex_kw == 0.0
 
 
 def test_solve_deterministic(tiny_a):
