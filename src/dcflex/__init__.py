@@ -13,6 +13,7 @@ from .model import (
     JobTable,
     ScheduleSolution,
     ServiceSpec,
+    SolveStats,
     TimeGrid,
     activations_per_window,
     duration_to_steps,

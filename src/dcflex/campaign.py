@@ -245,9 +245,12 @@ def _campaign_horizon(payload) -> list:
                 status, s_max = lp.status, (lp.mean_flex_kw if lp.ok else None)
             s_zero_delay = None
             if econ is not None and dq.enabled and s_max is not None:
-                zd = solve(build_flexmax(part, spec.with_max_delay(0.0), base, plan, dq),
-                           backend)
-                s_zero_delay = zd.mean_flex_kw if zd.ok else 0.0
+                if delay == 0.0:  # the cell's own LP is the zero-delay LP
+                    s_zero_delay = s_max
+                else:
+                    zd = solve(build_flexmax(part, spec.with_max_delay(0.0), base, plan,
+                                             dq), backend)
+                    s_zero_delay = zd.mean_flex_kw if zd.ok else 0.0
             for frac in fractions:
                 key = CellKey(svc.duration_hours, svc.annual_frequency, delay, frac)
                 if frac is None or s_max is None:
@@ -266,7 +269,7 @@ def _campaign_horizon(payload) -> list:
                 shifted_kwh = grid.step_hours * plan.count * plan.duration_steps * target
                 price_cost = sol.total_cost - sol.extra_energy_cost
                 records.append(_record(key, sol.status, target, price_cost / shifted_kwh,
-                                       sol.extra_energy_cost / shifted_kwh, gap=sol.gap))
+                                       sol.extra_energy_cost / shifted_kwh, gap=sol.stats.gap))
     return records
 
 

@@ -343,6 +343,23 @@ class BaselineProfile:
         )
 
 
+@dataclass(frozen=True)
+class SolveStats:
+    """What the solver reports about one solve.
+
+    Bounds are in the model's own objective (sense and constant included);
+    None where the solver has none. gap is 0.0 for an optimal model
+    without binaries.
+    """
+
+    iterations: int                  # simplex iterations
+    nodes: int                       # branch-and-bound nodes, 0 without binaries
+    dual_bound: float | None
+    primal_bound: float | None
+    gap: float | None
+    highs_s: float                   # wall time of the HiGHS run
+
+
 @dataclass
 class ScheduleSolution:
     """Decision-variable values of one solved scheduling problem.
@@ -354,7 +371,7 @@ class ScheduleSolution:
     cost-minimization solves only.
     """
 
-    status: str                      # optimal | infeasible | unbounded | limit
+    status: str                      # optimal | infeasible | unbounded | limit | error
     power_kw: np.ndarray | None
     flex_kw: np.ndarray | None
     sustained_kw: np.ndarray | None
@@ -365,7 +382,7 @@ class ScheduleSolution:
     total_cost: float | None = None
     extra_energy_cost: float | None = None
     target_unreachable: bool = False
-    gap: float | None = None
+    stats: SolveStats | None = None
     decode_x: object = field(default=None, repr=False)  # () -> x, None: no values
 
     @cached_property

@@ -1,23 +1,40 @@
 """Solver backend contract and solution decoding.
 
-The default backend is HiGHS through scipy.optimize.milp, which covers
-both the pure LP (flexibility maximization) and the MILP (cost
-minimization). Single-threaded HiGHS is deterministic, so identical
-models produce identical solutions regardless of scheduling.
+Every model, the flexibility LP and the cost MILP alike, is solved by one
+direct call into the HiGHS that scipy bundles, in `_run_highs`. That call
+goes through scipy's private ``scipy.optimize._highspy._core._Highs``
+binding, which is used in this module and nowhere else; the public
+``scipy.optimize.milp`` would wrap the same solver in per-column work
+(variable-type objects, the basis, bound marginals) that nothing here
+reads. Single-threaded HiGHS is deterministic, so identical models produce
+identical solutions regardless of scheduling.
 """
 
 from __future__ import annotations
 
+import logging
+import math
+import time
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy import _core as highs
 
-from .model import ScheduleSolution
+from .model import ScheduleSolution, SolveStats
 from .problem import ModelInstance
 
-_STATUS = {0: "optimal", 1: "limit", 2: "infeasible", 3: "unbounded", 4: "limit"}
+log = logging.getLogger(__name__)
+
+# HiGHS model status by name -> solution status; any other name is "error"
+_STATUS = {
+    "kOptimal": "optimal",
+    "kInfeasible": "infeasible",
+    "kUnbounded": "unbounded",
+    "kTimeLimit": "limit",
+    "kIterationLimit": "limit",
+    "kSolutionLimit": "limit",
+}
 
 
 @dataclass(frozen=True)
@@ -29,7 +46,9 @@ class SolverBackend:
     time_limit_s: float = 600.0
 
     def options(self, is_mip: bool) -> dict:
-        opts = {"presolve": True}
+        # log_to_console, not output_flag: switching all output off moves
+        # some degenerate LPs to another of their optima
+        opts = {"log_to_console": False, "presolve": "on"}
         if is_mip:
             opts["mip_rel_gap"] = self.mip_rel_gap
             opts["time_limit"] = self.time_limit_s
@@ -43,38 +62,83 @@ class TargetUnreachableError(RuntimeError):
     """Raised when a cost minimization asks for more flexibility than exists."""
 
 
+def _run_highs(model: ModelInstance, backend: SolverBackend):
+    """Minimize the model (a max model through its negated objective) in HiGHS.
+
+    Returns (HighsModelStatus, HighsInfo, column values or None, seconds in
+    run()); the values are read only when HiGHS holds a feasible solution.
+    """
+    is_mip = model.n_binary > 0
+    a = model.a_matrix.tocsc()
+    h = highs._Highs()
+    for name, value in backend.options(is_mip).items():
+        if h.setOptionValue(name, value) != highs.HighsStatus.kOk:
+            raise ValueError(f"HiGHS rejected option {name}={value!r}")
+    # the array form of passModel reads the numpy buffers in place
+    h.passModel(model.n_vars, model.n_rows, a.nnz, int(highs.MatrixFormat.kColwise),
+                int(highs.ObjSense.kMinimize), 0.0,
+                model.obj if model.sense == "min" else -model.obj,
+                model.var_lb, model.var_ub, model.row_lb, model.row_ub,
+                a.indptr, a.indices, a.data, model.integrality)
+    start = time.perf_counter()
+    h.run()
+    seconds = time.perf_counter() - start
+    info = h.getInfo()
+    values = None
+    if info.primal_solution_status == highs.kSolutionStatusFeasible:
+        values = np.array(h.getSolution().col_value)
+    return h.getModelStatus(), info, values, seconds
+
+
 def solve(model: ModelInstance, backend: SolverBackend = DEFAULT_BACKEND) -> ScheduleSolution:
     """Solve a model and map variable values back to domain indices.
 
-    Infeasible, unbounded and limit statuses are propagated on the returned
-    solution; a cost minimization that is infeasible is additionally marked
-    target_unreachable (the flexibility problem itself is always feasible,
-    so infeasibility can only come from the target).
+    Infeasible, unbounded, limit and error statuses are propagated on the
+    returned solution; a limit keeps values only for a model with binaries
+    that has an incumbent. A cost minimization that is infeasible is
+    additionally marked target_unreachable (the flexibility problem itself
+    is always feasible, so infeasibility can only come from the target).
     """
     is_mip = model.n_binary > 0
-    c = model.obj if model.sense == "min" else -model.obj
-    res = milp(
-        c=c,
-        constraints=LinearConstraint(model.a_matrix, model.row_lb, model.row_ub),
-        integrality=model.integrality,
-        bounds=Bounds(model.var_lb, model.var_ub),
-        options=backend.options(is_mip),
-    )
-    status = _STATUS.get(res.status, "limit")
-    if res.x is None:
+    highs_status, info, values, seconds = _run_highs(model, backend)
+    status = _STATUS.get(highs_status.name, "error")
+    if not (status == "optimal" or (status == "limit" and is_mip)):
+        values = None
+    stats = _stats(model, info, is_mip, status, values is not None, seconds)
+    log.debug("%s solve: %s, %d iterations, %d nodes, gap %s, %.3f s", model.kind,
+              status, stats.iterations, stats.nodes, stats.gap, seconds)
+    if values is None:
         return ScheduleSolution(
             status=status,
             power_kw=None, flex_kw=None, sustained_kw=None, mean_flex_kw=None,
             target_unreachable=(model.kind == "costmin" and status == "infeasible"),
+            stats=stats,
         )
-    values = np.asarray(res.x, dtype=np.float64)
-    # an optimal LP (also a cost model without binaries) has no gap left
-    gap = getattr(res, "mip_gap", None) if is_mip else (0.0 if status == "optimal" else None)
-    gap = float(gap) if gap is not None else None
-    return _decode(model, values, status, gap)
+    return _decode(model, values, status, stats)
 
 
-def _decode(model: ModelInstance, values: np.ndarray, status: str, gap) -> ScheduleSolution:
+def _stats(model, info, is_mip, status, has_values, seconds) -> SolveStats:
+    """HiGHS's bounds turned back into the model's objective, sense and constant."""
+    sign = 1.0 if model.sense == "min" else -1.0
+
+    def bound(value):
+        return sign * value + model.obj_const if math.isfinite(value) else None
+
+    primal = bound(info.objective_function_value) if has_values else None
+    if is_mip:
+        dual = bound(info.mip_dual_bound)
+        gap = info.mip_gap if math.isfinite(info.mip_gap) else None
+    else:  # an optimal LP has no gap left: its dual bound is its objective
+        dual, gap = (primal, 0.0) if status == "optimal" else (None, None)
+    return SolveStats(
+        iterations=max(info.simplex_iteration_count, 0),
+        nodes=max(info.mip_node_count, 0) if is_mip else 0,
+        dual_bound=dual, primal_bound=primal, gap=gap, highs_s=seconds,
+    )
+
+
+def _decode(model: ModelInstance, values: np.ndarray, status: str,
+            stats: SolveStats | None) -> ScheduleSolution:
     meta = model.meta
     T = meta["T"]
     p0, f0, s0 = meta["p0"], meta["f0"], meta["s0"]
@@ -88,7 +152,7 @@ def _decode(model: ModelInstance, values: np.ndarray, status: str, gap) -> Sched
         status=status,
         power_kw=power, flex_kw=flex, sustained_kw=sustained,
         mean_flex_kw=mean_flex,
-        gap=gap,
+        stats=stats,
         decode_x=partial(_x_by_step, meta, values),
     )
     if model.kind == "costmin":

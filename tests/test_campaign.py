@@ -20,7 +20,7 @@ from dcflex.campaign import (
 )
 from dcflex.model import DataCenterSpec, JobTable, ServiceSpec, TimeGrid
 from dcflex.preprocess import baseline_profile
-from dcflex.problem import DqParams, build_flexmax
+from dcflex.problem import DqParams, build_costmin, build_flexmax
 from dcflex.solve import solve
 
 from conftest import ECON, TINY_GRID, tiny_a_jobs, tiny_a_spec, tiny_b_jobs, tiny_b_spec
@@ -179,6 +179,34 @@ def test_costmin_campaign_tiny_b_dynamic_quota():
     assert cell.acof == cell.apcof + cell.aecof
 
 
+def test_quota_cost_cell_at_zero_delay_solves_one_lp(monkeypatch):
+    """At delay 0.0 the cell's LP is the zero-delay LP the quota bound needs."""
+    jobs, spec = tiny_b_jobs(), tiny_b_spec()
+    seed = _find_seed_with_window_at_step_one(0.25, 2920.0, 0.0)
+    services = service_grid([0.25], [2920.0], TINY_GRID)
+    dq = DqParams(True, 0.5)
+    counts = _count_layer_calls(monkeypatch)
+    result = run_costmin_campaign(jobs, spec, ECON, TINY_GRID, services, [0.0], [1.0],
+                                  dq=dq, master_seed=seed)
+    assert counts["build_flexmax"] == 1 and counts["build_costmin"] == 1
+    monkeypatch.undo()
+
+    # the cell as it reads with the zero-delay LP solved on its own
+    part, base = campaign._prepare_horizon(jobs, spec, TINY_GRID, 1, seed, 100, True)
+    plan = campaign._cell_plan(TINY_GRID, services[0], 0.0, 1, seed)
+    spec_0 = spec.with_max_delay(0.0)
+    s_max = solve(build_flexmax(part, spec_0, base, plan, dq)).mean_flex_kw
+    s_zero = solve(build_flexmax(part, spec_0, base, plan, dq)).mean_flex_kw
+    sol = solve(build_costmin(part, spec_0, ECON, base, plan, s_max, dq=dq,
+                              zero_delay_flex_kw=s_zero))
+    shifted_kwh = TINY_GRID.step_hours * plan.count * plan.duration_steps * s_max
+    cell = result.cell(0.25, 2920.0, 0.0, 1.0)
+    assert cell.mean_flex_kw == s_max
+    assert cell.apcof == (sol.total_cost - sol.extra_energy_cost) / shifted_kwh
+    assert cell.aecof == sol.extra_energy_cost / shifted_kwh
+    assert cell.statuses == ("optimal",) and cell.gaps == (sol.stats.gap,)
+
+
 def test_campaign_json_and_csv_round_trip(tmp_path):
     jobs = tiny_a_jobs()
     spec = tiny_a_spec()
@@ -246,7 +274,7 @@ def _count_layer_calls(monkeypatch) -> Counter:
 
     for name in LAYER_NAMES:
         count(campaign, name)
-    count(importlib.import_module("dcflex.solve"), "milp")
+    count(importlib.import_module("dcflex.solve"), "_run_highs")
     return counts
 
 
@@ -257,7 +285,7 @@ def test_campaign_calls_each_layer_through_its_module_name(monkeypatch):
 
     counts = _count_layer_calls(monkeypatch)
     run_flexmax_campaign(jobs, spec, grid, services, delays, master_seed=5)
-    assert counts == Counter(build_flexmax=cells, solve=cells, milp=cells,
+    assert counts == Counter(build_flexmax=cells, solve=cells, _run_highs=cells,
                              sample_activations=cells, partition_to_horizon=2,
                              aggregate_daily=2, baseline_profile=2)
 
@@ -268,7 +296,7 @@ def test_campaign_calls_each_layer_through_its_module_name(monkeypatch):
                                   [0.0, 0.5, 1.0], dq=DqParams(True, 0.5), master_seed=5)
     assert [c.degenerate for c in result.cells.values()] == [True, False, False] * 2
     assert counts == Counter(build_flexmax=2 * cells, build_costmin=2 * cells,
-                             solve=4 * cells, milp=4 * cells, sample_activations=cells,
+                             solve=4 * cells, _run_highs=4 * cells, sample_activations=cells,
                              partition_to_horizon=2, aggregate_daily=2, baseline_profile=2)
     # horizon 2 holds only the pad job, whose cost model has no binaries: its
     # optimal solve reports gap 0.0, not a missing gap
@@ -281,7 +309,7 @@ def test_zero_delay_cells_without_quota_skip_the_lp(monkeypatch):
 
     counts = _count_layer_calls(monkeypatch)
     result = run_flexmax_campaign(jobs, spec, grid, services, [0.0, 0.5], master_seed=5)
-    assert counts == Counter(build_flexmax=horizons, solve=horizons, milp=horizons,
+    assert counts == Counter(build_flexmax=horizons, solve=horizons, _run_highs=horizons,
                              sample_activations=2 * horizons, partition_to_horizon=2,
                              aggregate_daily=2, baseline_profile=2)
     zero = result.cell(0.25, 2920.0, 0.0)
@@ -293,7 +321,7 @@ def test_zero_delay_cells_without_quota_skip_the_lp(monkeypatch):
     counts.clear()
     run_flexmax_campaign(jobs, spec, grid, services, [0.0, 0.5], dq=DqParams(True, 0.5),
                          master_seed=5)
-    assert counts["build_flexmax"] == counts["milp"] == 2 * horizons
+    assert counts["build_flexmax"] == counts["_run_highs"] == 2 * horizons
 
 
 def test_bench_output_checks_accept_campaign_results():

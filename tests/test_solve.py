@@ -1,17 +1,34 @@
+import importlib
+import logging
+
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy._core import HighsModelStatus
 
 from dcflex.model import ActivationPlan, JobTable
 from dcflex.preprocess import baseline_profile
-from dcflex.problem import build_costmin, build_flexmax
+from dcflex.problem import DqParams, build_costmin, build_flexmax
 from dcflex.solve import (
+    DEFAULT_BACKEND,
     TargetUnreachableError,
     _decode,
+    _run_highs,
     require_optimal,
     solve,
 )
 
-from conftest import ECON, TINY_GRID, random_instance, random_plan
+from conftest import (
+    ECON,
+    TINY_GRID,
+    random_instance,
+    random_plan,
+    tiny_a_jobs,
+    tiny_a_spec,
+)
+
+# the package re-exports the function solve under the module's name
+solve_module = importlib.import_module("dcflex.solve")
 
 
 def test_tiny_a_flexmax(tiny_a):
@@ -103,3 +120,129 @@ def test_solve_deterministic(tiny_a):
     b = solve(build_flexmax(jobs, spec, base, plan))
     assert a.mean_flex_kw == b.mean_flex_kw
     assert np.array_equal(a.power_kw, b.power_kw)
+
+
+# --- the direct HiGHS call against scipy.optimize.milp ----------------------
+
+# scipy's milp status codes as solve() read them when it called milp
+_MILP_STATUS = {0: "optimal", 1: "limit", 2: "infeasible", 3: "unbounded", 4: "limit"}
+
+
+def _reference_solve(model, backend=DEFAULT_BACKEND):
+    """(status, x, gap) of the model through scipy.optimize.milp, kept frozen."""
+    is_mip = model.n_binary > 0
+    options = {"presolve": True}
+    if is_mip:
+        options.update(mip_rel_gap=backend.mip_rel_gap, time_limit=backend.time_limit_s)
+    res = milp(
+        c=model.obj if model.sense == "min" else -model.obj,
+        constraints=LinearConstraint(model.a_matrix, model.row_lb, model.row_ub),
+        integrality=model.integrality,
+        bounds=Bounds(model.var_lb, model.var_ub),
+        options=options,
+    )
+    status = _MILP_STATUS.get(res.status, "limit")
+    if res.x is None:
+        return status, None, None
+    gap = float(res.mip_gap) if is_mip else (0.0 if status == "optimal" else None)
+    return status, res.x, gap
+
+
+def _oracle_models():
+    """Flexibility LPs and half-target cost models, quota off and on, then one
+    cost model whose target exceeds the maximum."""
+    rng = np.random.default_rng(20)
+    for _ in range(10):
+        grid, jobs, spec, base = random_instance(rng, max_jobs=8, max_steps=12)
+        plan = random_plan(rng, grid)
+        for dq in (DqParams(False, 0.5), DqParams(True, 0.5)):
+            flex = build_flexmax(jobs, spec, base, plan, dq)
+            yield flex
+            s_zero = None
+            if dq.enabled:
+                s_zero = solve(build_flexmax(jobs, spec.with_max_delay(0.0), base, plan,
+                                             dq)).mean_flex_kw
+            yield build_costmin(jobs, spec, ECON, base, plan, 0.5 * solve(flex).mean_flex_kw,
+                                dq=dq, zero_delay_flex_kw=s_zero)
+    jobs, spec = tiny_a_jobs(), tiny_a_spec()
+    plan = ActivationPlan(windows=((1, 1),), grid=TINY_GRID)
+    yield build_costmin(jobs, spec, ECON, baseline_profile(jobs, spec, TINY_GRID), plan, 3.0)
+
+
+def test_direct_highs_matches_milp_bit_for_bit():
+    seen = []
+    for i, model in enumerate(_oracle_models()):
+        status, x, gap = _reference_solve(model)
+        sol = solve(model)
+        assert (sol.status, sol.stats.gap) == (status, gap), i
+        if x is None:
+            assert sol.power_kw is None and _run_highs(model, DEFAULT_BACKEND)[2] is None, i
+        else:
+            assert _run_highs(model, DEFAULT_BACKEND)[2].tobytes() == x.tobytes(), i
+            p0, T = model.meta["p0"], model.meta["T"]
+            assert sol.power_kw.tobytes() == x[p0:p0 + T].tobytes(), i
+        seen.append((model.kind, model.n_binary > 0, status))
+    assert len(seen) == 41
+    assert seen.count(("flexmax", False, "optimal")) == 20
+    assert seen.count(("costmin", True, "optimal")) >= 15
+    assert seen[-1] == ("costmin", True, "infeasible") and sol.target_unreachable
+
+
+def test_lp_stats(tiny_a):
+    jobs, spec, base, plan = tiny_a
+    stats = solve(build_flexmax(jobs, spec, base, plan)).stats
+    assert stats.iterations > 0 and stats.nodes == 0
+    assert stats.primal_bound == stats.dual_bound == pytest.approx(2.0, abs=1e-6)
+    assert stats.gap == 0.0 and stats.highs_s > 0.0
+
+
+def test_mip_stats(tiny_a, caplog):
+    jobs, spec, base, plan = tiny_a
+    with caplog.at_level(logging.DEBUG, logger="dcflex.solve"):
+        sol = solve(build_costmin(jobs, spec, ECON, base, plan, 2.0))
+    stats = sol.stats
+    assert stats.nodes >= 1
+    assert stats.primal_bound == pytest.approx(sol.total_cost, abs=1e-9)
+    assert stats.dual_bound <= stats.primal_bound
+    assert stats.gap == pytest.approx(0.0, abs=1e-4)
+    assert [r.getMessage().split(":")[0] for r in caplog.records] == ["costmin solve"]
+
+
+def test_unreachable_target_stats(tiny_a):
+    jobs, spec, base, plan = tiny_a
+    stats = solve(build_costmin(jobs, spec, ECON, base, plan, 3.0)).stats
+    assert stats.primal_bound is None and stats.gap is None
+
+
+_LIMITS = ("kTimeLimit", "kIterationLimit", "kSolutionLimit")
+_BY_NAME = {"kOptimal": "optimal", "kInfeasible": "infeasible", "kUnbounded": "unbounded",
+            **{name: "limit" for name in _LIMITS}}
+
+
+@pytest.mark.parametrize("name", list(HighsModelStatus.__members__))
+def test_highs_status_by_name(monkeypatch, tiny_a, name):
+    jobs, spec, base, plan = tiny_a
+    models = {"flexmax": build_flexmax(jobs, spec, base, plan),
+              "costmin": build_costmin(jobs, spec, ECON, base, plan, 2.0)}
+    solved = {kind: _run_highs(model, DEFAULT_BACKEND) for kind, model in models.items()}
+    monkeypatch.setattr(solve_module, "_run_highs", lambda model, backend: (
+        HighsModelStatus.__members__[name],) + solved[model.kind][1:])
+    expected = _BY_NAME.get(name, "error")
+    for kind, model in models.items():
+        sol = solve(model)
+        assert sol.status == expected
+        # values survive an optimal solve, and a limit only with binaries
+        kept = expected == "optimal" or (expected == "limit" and kind == "costmin")
+        assert (sol.power_kw is not None) == kept
+        assert (sol.total_cost is not None) == (kept and kind == "costmin")
+        assert sol.target_unreachable == (kind == "costmin" and expected == "infeasible")
+
+
+def test_limit_without_incumbent_has_no_values(monkeypatch, tiny_a):
+    jobs, spec, base, plan = tiny_a
+    model = build_costmin(jobs, spec, ECON, base, plan, 2.0)
+    _, info, _, seconds = _run_highs(model, DEFAULT_BACKEND)
+    monkeypatch.setattr(solve_module, "_run_highs", lambda model, backend: (
+        HighsModelStatus.kTimeLimit, info, None, seconds))
+    sol = solve(model)
+    assert sol.status == "limit" and sol.total_cost is None and sol.power_kw is None
