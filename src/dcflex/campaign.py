@@ -10,6 +10,7 @@ solves the flexibility LP (0 kW unsolved at zero delay without quota), then
 visits each flex fraction: fraction None is the flexibility cell (the LP
 optimum itself), and a number is the cost cell at that share of the
 optimum. A flexibility campaign is the engine run with fractions (None,).
+A horizon that raises is recorded as `error` on each of its cells.
 
 Determinism: every random draw is seeded from
 hash(master_seed, horizon_index, cell_key), so results are bit-identical
@@ -22,6 +23,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -40,6 +42,8 @@ from .model import (
 from .preprocess import aggregate_daily, baseline_profile, partition_to_horizon
 from .problem import NO_DQ, DqParams, build_costmin, build_flexmax
 from .solve import DEFAULT_BACKEND, SolverBackend, solve
+
+log = logging.getLogger(__name__)
 
 #: Targets below this (kW) are treated as degenerate rather than divided by.
 DEGENERATE_FLEX_KW = 1e-9
@@ -222,6 +226,22 @@ def _record(key, status, flex_kw, apcof=None, aecof=None, gap=None, degenerate=F
 
 
 def _campaign_horizon(payload) -> list:
+    """Every cell of one horizon, or `error` on each of them if the horizon raised.
+
+    One failing horizon is recorded on its own cells and does not abort the
+    campaign; the traceback goes to the `dcflex.campaign` log.
+    """
+    try:
+        return _horizon_records(payload)
+    except Exception:
+        h, _, _, _, services, delays, fractions, *_ = payload
+        log.exception("horizon %d failed; its cells are recorded as errors", h)
+        return [_record(CellKey(svc.duration_hours, svc.annual_frequency, delay, frac),
+                        "error", None)
+                for svc in services for delay in delays for frac in fractions]
+
+
+def _horizon_records(payload) -> list:
     """Every cell of one horizon: the flexibility LP, then each fraction of it.
 
     Fraction None records the LP optimum itself; a number records the cost
@@ -372,8 +392,9 @@ def run_flexmax_campaign(
     """Maximum-flexibility grid over services and delay limits.
 
     Every whole horizon window of the dataset is solved independently and
-    per-horizon optima are averaged; per-horizon infeasibility is recorded
-    on the cell instead of aborting the campaign.
+    per-horizon optima are averaged; per-horizon infeasibility, or an
+    exception in a horizon, is recorded on the cell instead of aborting the
+    campaign.
     """
     return _run_campaign(table, spec, None, grid, services, delays, (None,), dq,
                          master_seed, backend, clusters_per_day, aggregate, n_workers)

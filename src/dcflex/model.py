@@ -349,9 +349,13 @@ class SolveStats:
 
     Bounds are in the model's own objective (sense and constant included);
     None where the solver has none. gap is 0.0 for an optimal model
-    without binaries.
+    without binaries. The model size is what was passed to the solver.
     """
 
+    columns: int
+    rows: int
+    nonzeros: int
+    binaries: int
     iterations: int                  # simplex iterations
     nodes: int                       # branch-and-bound nodes, 0 without binaries
     dual_bound: float | None

@@ -2,18 +2,19 @@
 
 Model building is pure and may run in parallel across horizon/service
 pairs. Each family of variables or rows is assembled as whole numpy
-arrays: columns run per job x, z, (xdq), np, then p, f, s, then per job
-(xp), e, delta, c; rows run per job preempt, preempt_total, completion,
-then per step (capacity), power, flex, then sustain, quota_cap, per job
-(runflag, endmark), (endfloor), delay, jobcost, service_target,
-cost_bound. Names such as ``x_j_t`` (j is the job's position in the
-table) are rendered on first read, for LP text export and inspection.
+arrays: columns run per job x, (z), (xdq), (np), then p, f, s, then per
+job (xp), e, delta, c; rows run per job (preempt, preempt_total),
+completion, then per step (capacity), power, flex, then sustain,
+quota_cap, per job (runflag, endmark), (endfloor), delay, jobcost,
+service_target, cost_bound. Names such as ``x_j_t`` (j is the job's
+position in the table) are rendered on first read, for LP text export
+and inspection.
 
 Formulation summary, per job j over its available period [a_j, b_j]:
   x[j,t] in [0,1]      completed workload proportion per step
   z[j,t] in [0,1]      preemption counter, z >= x[j,t] - x[j,t+1]
   np[j]  = sum z - 1   total preemptions, clamped >= 0, capped by the
-                       checkpoint overhead budget
+                       checkpoint overhead budget np_cap
   sum_t x[j,t] = D_j   job completion
   sum_j N_j x[j,t] <= N_hat       capacity
   p_t = G sum_j N_j x[j,t] + G0   affine power model
@@ -31,6 +32,16 @@ sum_t (x + K xdq) = D_j. In words: a unit of quota completes K units of
 workload, so a job holding full quota (xdq = x) runs 1 + K times as fast
 at twice the power. The extra energy it costs is net of the power shaved
 in the activation windows.
+
+The counter (z, np and their rows) exists only for budgeted jobs, those
+with S_j - D_j/(1 + K) > np_cap over a span of S_j steps (K = 0 without
+dynamic quota; np_cap is infinite without a preemption overhead).
+Completion and xdq <= x give sum x >= D_j/(1 + K), so a job idles at
+most S_j - D_j/(1 + K) steps. The smallest counter,
+z_t = max(0, x_t - x_{t+1}) with x_{b+1} = 0, has sum z - 1 <= S_j - sum x
+(each descent into step t+1 is at most 1 - x_{t+1}, the last at most 1),
+and z can always be raised to sum z >= 1. So for any other job every x
+has a counter within the budget, and leaving it out changes no optimum.
 
 Cost minimization adds binary running flags x'[j,t] >= x[j,t] on steps at
 or beyond the undelayed completion, an end marker e_j >= t x'[j,t] + 1
@@ -243,25 +254,34 @@ def _core(b: _Builder, jobs: JobTable, spec: DataCenterSpec,
             f"{len(job_errors)} job(s) have infeasible available periods", job_errors
         )
 
-    # one entry per (job, step) of each available period, in job order
-    jj, t = _ragged(win_a, span)
-    off = t - win_a[jj]
-    blocks = 3 if dq.enabled else 2
-    x0 = b.columns(blocks * span + 1)
-    np_col = x0 + blocks * span
-    xc = x0[jj] + off
-    zc = xc + span[jj]
-    b.var_family("x", xc, (jj, t), 0.0, 1.0)
-    b.var_family("z", zc, (jj, t), 0.0, 1.0)
-    if dq.enabled:
-        qc = zc + span[jj]
-        b.var_family("xdq", qc, (jj, t), 0.0, 1.0)
     # preemption budget as a bound: (M^P / dt) * np <= eps * D
     if spec.preempt_overhead_min > 0:
         np_cap = spec.preempt_budget_frac * D * grid.step_minutes / spec.preempt_overhead_min
     else:
-        np_cap = INF
-    b.var_family("np", np_col, (job,), 0.0, np_cap)
+        np_cap = np.full(len(jobs), INF)
+    # the budget can bind only where the idle steps, at most
+    # span - D / (1 + K), can exceed it (see the module docstring)
+    K = dq.speedup if dq.enabled else 0.0
+    budgeted = span - D / (1.0 + K) > np_cap
+    nz = budgeted.astype(np.int64)
+
+    # one entry per (job, step) of each available period, in job order
+    jj, t = _ragged(win_a, span)
+    off = t - win_a[jj]
+    blocks = 1 + nz + int(dq.enabled)
+    x0 = b.columns(blocks * span + nz)
+    xc = x0[jj] + off
+    b.var_family("x", xc, (jj, t), 0.0, 1.0)
+    pre = budgeted[jj]  # the (job, step) entries of budgeted jobs
+    jb, tb, xb = jj[pre], t[pre], xc[pre]
+    zc = xb + span[jb]
+    b.var_family("z", zc, (jb, tb), 0.0, 1.0)
+    if dq.enabled:
+        qc = xc + (1 + nz[jj]) * span[jj]
+        b.var_family("xdq", qc, (jj, t), 0.0, 1.0)
+    job_b = job[budgeted]
+    np_col = x0[job_b] + blocks[job_b] * span[job_b]
+    b.var_family("np", np_col, (job_b,), 0.0, np_cap[budgeted])
 
     steps = np.arange(1, T + 1)
     p0, f0, s0 = (int(c) for c in b.columns([T, T, plan.count]))
@@ -269,22 +289,23 @@ def _core(b: _Builder, jobs: JobTable, spec: DataCenterSpec,
     b.var_family("f", f0 + steps - 1, (steps,), -INF, INF)
     b.var_family("s", s0 + np.arange(plan.count), (np.arange(plan.count),), 0.0, INF)
 
-    # preemption counting and completion, per job
-    r_job = b.rows(span + 2)
-    r_pre = r_job[jj] + off
-    b.row_family("preempt", r_pre, (jj, t), 0.0, INF)
+    # preemption counting (budgeted jobs) and completion, per job
+    r_job = b.rows(nz * (span + 1) + 1)
+    r_pre = r_job[jb] + off[pre]
+    b.row_family("preempt", r_pre, (jb, tb), 0.0, INF)
     b.entries(r_pre, zc, 1.0)
-    b.entries(r_pre, xc, -1.0)
-    more = off + 1 < span[jj]
-    b.entries(r_pre[more], xc[more] + 1, 1.0)
-    r_total = r_job + span
-    b.row_family("preempt_total", r_total, (job,), -1.0, -1.0)
-    b.entries(r_total, np_col, 1.0)
-    b.entries(r_total[jj], zc, -1.0)
-    b.row_family("completion", r_total + 1, (job,), D, D)
-    b.entries(r_total[jj] + 1, xc, 1.0)
+    b.entries(r_pre, xb, -1.0)
+    more = off[pre] + 1 < span[jb]
+    b.entries(r_pre[more], xb[more] + 1, 1.0)
+    r_total = r_job + span  # a budgeted job's preempt_total row
+    b.row_family("preempt_total", r_total[job_b], (job_b,), -1.0, -1.0)
+    b.entries(r_total[job_b], np_col, 1.0)
+    b.entries(r_total[jb], zc, -1.0)
+    r_done = r_job + nz * (span + 1)
+    b.row_family("completion", r_done, (job,), D, D)
+    b.entries(r_done[jj], xc, 1.0)
     if dq.enabled and dq.speedup > 0:
-        b.entries(r_total[jj] + 1, qc, dq.speedup)
+        b.entries(r_done[jj], qc, dq.speedup)
 
     # per-step capacity (only where some job may run) and power rows
     has_cap = np.bincount(t, minlength=T + 1)[1:] > 0

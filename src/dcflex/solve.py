@@ -105,8 +105,10 @@ def solve(model: ModelInstance, backend: SolverBackend = DEFAULT_BACKEND) -> Sch
     if not (status == "optimal" or (status == "limit" and is_mip)):
         values = None
     stats = _stats(model, info, is_mip, status, values is not None, seconds)
-    log.debug("%s solve: %s, %d iterations, %d nodes, gap %s, %.3f s", model.kind,
-              status, stats.iterations, stats.nodes, stats.gap, seconds)
+    log.debug("%s solve: %d columns, %d rows, %d nonzeros, %d binaries; %s, "
+              "%d iterations, %d nodes, gap %s, %.3f s", model.kind, stats.columns,
+              stats.rows, stats.nonzeros, stats.binaries, status, stats.iterations,
+              stats.nodes, stats.gap, seconds)
     if values is None:
         return ScheduleSolution(
             status=status,
@@ -131,7 +133,8 @@ def _stats(model, info, is_mip, status, has_values, seconds) -> SolveStats:
     else:  # an optimal LP has no gap left: its dual bound is its objective
         dual, gap = (primal, 0.0) if status == "optimal" else (None, None)
     return SolveStats(
-        iterations=max(info.simplex_iteration_count, 0),
+        columns=model.n_vars, rows=model.n_rows, nonzeros=model.a_matrix.nnz,
+        binaries=model.n_binary, iterations=max(info.simplex_iteration_count, 0),
         nodes=max(info.mip_node_count, 0) if is_mip else 0,
         dual_bound=dual, primal_bound=primal, gap=gap, highs_s=seconds,
     )

@@ -123,6 +123,33 @@ def test_two_horizon_average():
     assert len(cell.statuses) == 2
 
 
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_failing_horizon_is_recorded_as_error(monkeypatch, n_workers):
+    grid = TimeGrid(15, 8)
+    jobs = JobTable(["a", "b", "pad"], [1, 1, 9], [2, 2, 8], [1.0, 1.0, 0.01])
+    real = campaign.build_flexmax
+
+    def build(part, *args, **kwargs):
+        if "pad" in part.ids:  # the only job of horizon 2
+            raise RuntimeError("horizon 2 cannot be built")
+        return real(part, *args, **kwargs)
+
+    monkeypatch.setattr(campaign, "build_flexmax", build)
+    services = service_grid([0.25], [2920.0], grid)
+    result = run_costmin_campaign(jobs, tiny_a_spec(), ECON, grid, services, [1.0],
+                                  [0.5, 1.0], master_seed=0, aggregate=False,
+                                  n_workers=n_workers)
+    for frac in (0.5, 1.0):
+        cell = result.cell(0.25, 2920.0, 1.0, frac)
+        assert cell.statuses == ("optimal", "error")
+        assert cell.windows_evaluated == 1 and cell.acof is not None
+        assert cell.gaps[1] is None
+    flex = run_flexmax_campaign(jobs, tiny_a_spec(), grid, services, [1.0], master_seed=0,
+                                aggregate=False, n_workers=n_workers)
+    cell = flex.cell(0.25, 2920.0, 1.0)
+    assert cell.statuses == ("optimal", "error") and cell.windows_evaluated == 1
+
+
 def test_costmin_campaign_tiny_a():
     jobs = tiny_a_jobs()
     spec = tiny_a_spec()

@@ -1,8 +1,10 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import sparse
 
 from dcflex.model import ActivationPlan, JobTable, TimeGrid, round_half_away
@@ -10,6 +12,7 @@ from dcflex.preprocess import baseline_profile
 from dcflex.problem import (
     DqParams,
     ModelBuildError,
+    ModelInstance,
     available_window,
     build_costmin,
     build_flexmax,
@@ -388,6 +391,45 @@ def _reference_costmin(jobs, spec, econ, baseline, plan, target_kw, dq, tighten,
     return b.build(obj_cols, obj_vals, obj_const, meta)
 
 
+_COLUMN_KEYS = ("x0", "p0", "f0", "s0", "e_col", "delta_col", "c_col")
+
+
+def _budget_free(ref, jobs, dq) -> set:
+    """Jobs whose idle steps, span - D / (1 + K), cannot exceed the np bound."""
+    k = dq.speedup if dq.enabled else 0.0
+    meta, ub = ref["meta"], dict(zip(ref["var_names"], ref["var_ub"].tolist()))
+    return {j for j in range(len(jobs))
+            if not int(meta["win_b"][j] - meta["win_a"][j] + 1)
+            - int(jobs.compute_steps[j]) / (1.0 + k) > ub[f"np_{j}"]}
+
+
+def _without_counters(ref, free) -> dict:
+    """The reference model with the z/np columns and preempt rows of `free` deleted."""
+    def owner(pattern, name):
+        match = re.fullmatch(pattern, name)
+        return match is not None and int(match.group(1)) in free
+
+    keep_col = np.array([not owner(r"(?:z|np)_(\d+)(?:_\d+)?", n) for n in ref["var_names"]],
+                        dtype=bool)
+    keep_row = np.array([not owner(r"preempt(?:_total)?_(\d+)(?:_\d+)?", n)
+                         for n in ref["row_names"]], dtype=bool)
+    new_col = np.cumsum(keep_col) - 1
+    meta = dict(ref["meta"])
+    for key in _COLUMN_KEYS:
+        if key in meta:
+            value = new_col[meta[key]]
+            meta[key] = value if isinstance(meta[key], np.ndarray) else int(value)
+    out = dict(ref, meta=meta,
+               a_matrix=ref["a_matrix"][np.flatnonzero(keep_row)][:, np.flatnonzero(keep_col)],
+               var_names=[n for n, k in zip(ref["var_names"], keep_col) if k],
+               row_names=[n for n, k in zip(ref["row_names"], keep_row) if k])
+    for name in ("obj", "var_lb", "var_ub", "integrality"):
+        out[name] = ref[name][keep_col]
+    for name in ("row_lb", "row_ub"):
+        out[name] = ref[name][keep_row]
+    return out
+
+
 def _assert_same_model(model, ref):
     """Byte-identical matrix, bounds, objective, names and decode map."""
     def same(a, b, what):
@@ -410,6 +452,14 @@ def _assert_same_model(model, ref):
             assert model.meta[key] == value and type(model.meta[key]) is type(value), key
 
 
+def _as_instance(kind, sense, ref) -> ModelInstance:
+    return ModelInstance(
+        kind=kind, sense=sense, obj=ref["obj"], obj_const=ref["obj_const"],
+        var_lb=ref["var_lb"], var_ub=ref["var_ub"], integrality=ref["integrality"],
+        a_matrix=ref["a_matrix"], row_lb=ref["row_lb"], row_ub=ref["row_ub"],
+        meta=ref["meta"], families=((), ()))
+
+
 def _reference_cases():
     """Seeded instances over every build switch, plus the edge cases by name."""
     rng = np.random.default_rng(20)
@@ -427,11 +477,33 @@ def _reference_cases():
     plan = ActivationPlan(windows=((2, 3), (5, 6)), grid=grid)
     for dq in (DqParams(), DqParams(True, 0.5)):
         yield empty, spec, baseline_profile(empty, spec, grid), plan, dq, 0.0, True, True
+    yield *_quota_budget_case(), 1.0, True, True
+
+
+def _quota_budget_case():
+    """Delay 0 under full quota (K = 1): a 4-step job may run on every other step
+    at double rate, x = xdq = (1, 0, 1, 0), but only if its budget allows one
+    preemption; at 1.5 min per preemption it allows 0.4."""
+    grid = TimeGrid(15, 4)
+    jobs = JobTable(["q"], [1], [4], [1.0])
+    spec = replace(tiny_a_spec(max_delay_frac=0.0), preempt_overhead_min=1.5)
+    plan = ActivationPlan(windows=((2, 2), (4, 4)), grid=grid)
+    return jobs, spec, baseline_profile(jobs, spec, grid), plan, DqParams(True, 1.0)
+
+
+def test_budget_binds_under_quota_at_zero_delay():
+    jobs, spec, base, plan, dq = _quota_budget_case()
+    unlimited = replace(spec, preempt_overhead_min=0.0)
+    assert solve(build_flexmax(jobs, unlimited, base, plan, dq)).mean_flex_kw == \
+        pytest.approx(1.0, abs=1e-9)
+    assert solve(build_flexmax(jobs, spec, base, plan, dq)).mean_flex_kw == \
+        pytest.approx(0.8, abs=1e-9)
 
 
 def test_array_assembly_matches_reference_builder():
-    """build_flexmax/build_costmin equal the row-by-row builder byte for byte."""
-    clipped = checked = 0
+    """build_flexmax/build_costmin equal the row-by-row builder byte for byte,
+    once the preemption counters of the budget-free jobs are deleted from it."""
+    clipped = checked = budgeted = free = 0
     for jobs, spec, base, plan, dq, target, tighten, strengthen in _reference_cases():
         try:
             ref = _reference_flexmax(jobs, spec, base, plan, dq)
@@ -440,14 +512,54 @@ def test_array_assembly_matches_reference_builder():
                 build_flexmax(jobs, spec, base, plan, dq)
             assert str(got.value) == str(err) and got.value.job_errors == err.job_errors
             continue
-        _assert_same_model(build_flexmax(jobs, spec, base, plan, dq), ref)
+        unbudgeted = _budget_free(ref, jobs, dq)
+        _assert_same_model(build_flexmax(jobs, spec, base, plan, dq),
+                           _without_counters(ref, unbudgeted))
         args = (jobs, spec, ECON, base, plan, target, dq, tighten, 0.25, strengthen)
-        _assert_same_model(build_costmin(*args), _reference_costmin(*args))
+        _assert_same_model(build_costmin(*args),
+                           _without_counters(_reference_costmin(*args), unbudgeted))
         steps = plan.grid.steps
         clipped += any(int(a) + round_half_away((1.0 + spec.max_delay_frac) * int(d)) - 1
                        > steps for a, d in zip(jobs.submit_step, jobs.compute_steps))
+        free += len(unbudgeted)
+        budgeted += len(jobs) - len(unbudgeted)
         checked += 1
     assert checked >= 30 and clipped >= 5
+    assert budgeted >= 20 and free >= 20
+
+
+def test_budget_free_deletion_keeps_the_optima():
+    """Reduced and reference models share the LP optimum and the cost-MILP optimum."""
+    compared = 0
+    for jobs, spec, base, plan, dq, target, tighten, strengthen in _reference_cases():
+        try:
+            ref = _reference_flexmax(jobs, spec, base, plan, dq)
+        except ModelBuildError:
+            continue
+        lp = solve(build_flexmax(jobs, spec, base, plan, dq))
+        lp_ref = solve(_as_instance("flexmax", "max", ref))
+        assert lp.ok and lp_ref.ok
+        assert lp.mean_flex_kw == pytest.approx(lp_ref.mean_flex_kw, abs=1e-9)
+        # the case's target in [0, 2] read as a share of the optimum in [0, 1]
+        args = (jobs, spec, ECON, base, plan, target / 2.0 * lp.mean_flex_kw, dq, tighten,
+                0.25, strengthen)
+        cost = solve(build_costmin(*args))
+        cost_ref = solve(_as_instance("costmin", "min", _reference_costmin(*args)))
+        assert cost.status == cost_ref.status
+        if cost.ok:
+            within = max(cost.stats.primal_bound - cost.stats.dual_bound,
+                         cost_ref.stats.primal_bound - cost_ref.stats.dual_bound)
+            assert abs(cost.total_cost - cost_ref.total_cost) <= within + 1e-9
+            compared += 1
+    assert compared >= 30
+
+
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+def test_smallest_preemption_count_within_idle_steps(x):
+    """sum_t max(0, x_t - x_{t+1}) <= S - sum x + 1, with x_{S+1} = 0."""
+    x = np.array(x)
+    descents = np.maximum(0.0, x - np.append(x[1:], 0.0)).sum()
+    assert descents <= len(x) - x.sum() + 1.0 + 1e-9
 
 
 def test_array_assembly_matches_reference_on_build_errors():

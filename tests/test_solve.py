@@ -208,6 +208,18 @@ def test_mip_stats(tiny_a, caplog):
     assert [r.getMessage().split(":")[0] for r in caplog.records] == ["costmin solve"]
 
 
+def test_model_size_in_stats(tiny_a, caplog):
+    jobs, spec, base, plan = tiny_a
+    # spans round(1.1 * 2) = 2 steps, no idle step: the jobs carry no preemption counter
+    model = build_flexmax(jobs, spec.with_max_delay(0.1), base, plan)
+    with caplog.at_level(logging.DEBUG, logger="dcflex.solve"):
+        stats = solve(model).stats
+    # x 4, p 4, f 4, s 1; completion 2, capacity 2, power 4, flex 4, sustain 1
+    assert (stats.columns, stats.rows, stats.nonzeros, stats.binaries) == (13, 13, 26, 0)
+    assert (model.n_vars, model.n_rows, model.a_matrix.nnz) == (13, 13, 26)
+    assert "13 columns, 13 rows, 26 nonzeros, 0 binaries" in caplog.records[0].getMessage()
+
+
 def test_unreachable_target_stats(tiny_a):
     jobs, spec, base, plan = tiny_a
     stats = solve(build_costmin(jobs, spec, ECON, base, plan, 3.0)).stats
