@@ -1,15 +1,10 @@
 """dcflex: grid flexibility and cost-of-flexibility estimation for HPC data centers."""
 
 from .model import (
-    DEFAULT_GRID,
-    NOMINAL_ECON,
-    NOMINAL_FIXED_POWER_KW,
-    NOMINAL_UNIT_POWER_KW,
     ActivationPlan,
     BaselineProfile,
     DataCenterSpec,
     EconParams,
-    JobRecord,
     JobTable,
     ScheduleSolution,
     ServiceSpec,

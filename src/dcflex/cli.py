@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Subcommands: ingest, preprocess, flexmax, costmin, csf, scale, profit,
-report, synth. Every run reads defaults, an optional --config INI file,
-DCFLEX_* environment overrides and flags, and echoes the resolved
-configuration into its output artifact (JSON outputs embed it; CSV/SVG
+report, synth. Every run resolves one configuration through
+``config.load_config``: defaults, an optional --config INI file, DCFLEX_*
+environment overrides and the campaign flags, whose argparse dests are
+their ``[campaign]`` keys. Commands read only that configuration, and it
+is echoed into the output artifact (JSON outputs embed it; CSV/SVG
 outputs get a sibling ``<out>.run.json``).
 """
 
@@ -31,6 +33,7 @@ from .ingest import (
     write_job_trace,
 )
 from .market import (
+    DEFAULT_PERCENTILES,
     format_profitability_text,
     price_percentile_table,
     profitability_report,
@@ -42,7 +45,7 @@ from .report import heatmap_export
 from .scaling import (
     estimate_csf_samples,
     percentile,
-    scale_acof,
+    scale_acof_dq,
     scale_flex_kw,
     scale_flex_norm,
     write_csf_samples,
@@ -76,13 +79,6 @@ def _prepare_jobs(args, config):
     grid = TimeGrid(grid.step_minutes, grid.steps, origin)
     table = discretize(zero_queue(raw), grid)
     return table, grid
-
-
-def _campaign_args(args, config):
-    durations = cfg.parse_float_list(args.durations or config["campaign"]["durations_hours"])
-    freqs = cfg.parse_float_list(args.freqs or config["campaign"]["frequencies"])
-    delays = cfg.parse_float_list(args.delays or config["campaign"]["delays"])
-    return durations, freqs, delays
 
 
 def _cmd_synth(args, config):
@@ -140,20 +136,21 @@ def _cmd_preprocess(args, config):
 
 def _cmd_campaign(args, config):
     table, grid = _prepare_jobs(args, config)
-    durations, freqs, delays = _campaign_args(args, config)
+    campaign = config["campaign"]
     spec = cfg.spec_from_config(config)
-    services = service_grid(durations, freqs, grid)
+    services = service_grid(cfg.parse_float_list(campaign["durations_hours"]),
+                            cfg.parse_float_list(campaign["frequencies"]), grid)
+    delays = cfg.parse_float_list(campaign["delays"])
     options = dict(
         dq=cfg.dq_from_config(config),
-        master_seed=args.seed if args.seed is not None else config["campaign"]["master_seed"],
+        master_seed=campaign["master_seed"],
         backend=cfg.backend_from_config(config),
-        clusters_per_day=config["campaign"]["clusters_per_day"],
-        aggregate=config["campaign"]["aggregate"],
-        n_workers=cfg.resolve_workers(args.workers if args.workers is not None
-                                      else config["campaign"]["workers"]),
+        clusters_per_day=campaign["clusters_per_day"],
+        aggregate=campaign["aggregate"],
+        n_workers=cfg.resolve_workers(campaign["workers"]),
     )
     if args.command == "costmin":
-        fractions = cfg.parse_float_list(args.fractions or config["campaign"]["fractions"])
+        fractions = cfg.parse_float_list(campaign["fractions"])
         result = run_costmin_campaign(table, spec, cfg.econ_from_config(config), grid,
                                       services, delays, fractions, **options)
     else:
@@ -206,9 +203,8 @@ def _cmd_scale(args, config):
         cell.norm_flex = scale_flex_norm(nominal_norm, args.G, target_nr, args.G0)
         cell.mean_flex_kw = scale_flex_kw(nominal_norm, args.G, target_nr)
         if cell.apcof is not None:
-            cell.apcof = scale_acof(cell.apcof, args.A, args.R, args.G,
-                                    nominal_econ, nominal_g)
-            cell.aecof = cell.aecof * args.pi / nominal_econ.energy_price
+            cell.apcof, cell.aecof = scale_acof_dq(cell.apcof, cell.aecof, args.A, args.R,
+                                                   args.G, args.pi, nominal_econ, nominal_g)
             cell.acof = cell.apcof + cell.aecof
     result.config = dict(original)
     result.config["scaled_to"] = {
@@ -234,10 +230,9 @@ def _cmd_profit(args, config):
             conversion_rate=config["ingest"]["currency_rate"],
             currency=config["ingest"]["currency"],
         ))
-    percentiles = cfg.parse_float_list(args.percentiles) if args.percentiles else None
-    table = price_percentile_table(series, percentiles or
-                                   (25.0, 50.0, 75.0, 90.0, 99.0, 99.9, 99.95, 99.99, 100.0),
-                                   currency=config["ingest"]["currency"])
+    percentiles = (cfg.parse_float_list(args.percentiles) if args.percentiles
+                   else DEFAULT_PERCENTILES)
+    table = price_percentile_table(series, percentiles, currency=config["ingest"]["currency"])
     report = profitability_report(result, table)
     report["resolved_config"] = config
     write_profitability_json(report, args.out)
@@ -293,12 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} campaign")
         p.add_argument("--trace", required=True)
         p.add_argument("--days", type=int)
-        p.add_argument("--duration", "--durations", dest="durations")
-        p.add_argument("--freq", "--freqs", dest="freqs")
+        p.add_argument("--duration", "--durations", dest="durations_hours")
+        p.add_argument("--freq", "--freqs", dest="frequencies")
         p.add_argument("--max-delay", "--delays", dest="delays")
         if name == "costmin":
             p.add_argument("--fractions")
-        p.add_argument("--seed", type=int)
+        p.add_argument("--seed", type=int, dest="master_seed")
         p.add_argument("--workers", type=int)
         p.add_argument("--out", required=True)
         p.set_defaults(func=_cmd_campaign)
@@ -347,7 +342,9 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        config = cfg.load_config(args.config)
+        config = cfg.load_config(args.config, {
+            ("campaign", key): value for key, value in vars(args).items()
+            if key in cfg.DEFAULTS["campaign"]})
         return args.func(args, config)
     except (IngestError, ValueError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,10 @@
 """Configuration: defaults, INI file, environment and flag overrides.
 
-Resolution order (later wins): built-in defaults, config file sections,
-environment variables prefixed ``DCFLEX_<SECTION>_<KEY>``, command-line
-flags. The fully resolved configuration is echoed into every output
-artifact for reproducibility.
+``load_config`` is the one place a value is resolved. Later sources win:
+built-in defaults, config file sections, environment variables named
+``DCFLEX_<SECTION>_<KEY>``, then command-line flags, which the CLI passes
+in as overrides keyed by their config key. Unknown sections and keys are
+rejected. The resolved configuration is what every output artifact echoes.
 """
 
 from __future__ import annotations
@@ -12,12 +13,7 @@ import configparser
 import copy
 import os
 
-from .model import (
-    DEVICE_PREEMPT_OVERHEAD_MIN,
-    DataCenterSpec,
-    EconParams,
-    TimeGrid,
-)
+from .model import DataCenterSpec, EconParams, TimeGrid, default_preempt_overhead_min
 from .problem import DqParams
 from .solve import SolverBackend
 
@@ -27,7 +23,6 @@ DEFAULTS = {
     "grid": {
         "step_minutes": 15.0,
         "horizon_steps": 960,
-        "origin": 0.0,
     },
     "datacenter": {
         "total_resources": 100.0,
@@ -48,7 +43,6 @@ DEFAULTS = {
         "hourly_unit_price": 1.0,
         "energy_price": 0.05,
         "unit_power_kw": 1.0,
-        "fixed_power_kw": 0.0,
     },
     "campaign": {
         "durations_hours": "0.25,0.5,1,2,4",
@@ -87,11 +81,11 @@ def _coerce(default, text: str):
     return text
 
 
-def load_config(path=None, overrides=None, env=None) -> dict:
+def load_config(path=None, overrides=None) -> dict:
     """Resolve the configuration dictionary.
 
-    overrides maps ("section", "key") to already-typed values; env defaults
-    to os.environ.
+    overrides maps ("section", "key") to already-typed values; None values
+    are skipped, so a flag that was not given leaves the key as resolved.
     """
     config = copy.deepcopy(DEFAULTS)
     if path is not None:
@@ -106,12 +100,11 @@ def load_config(path=None, overrides=None, env=None) -> dict:
                 if key not in config[section]:
                     raise ValueError(f"unknown config key {key!r} in [{section}]")
                 config[section][key] = _coerce(config[section][key], text)
-    env = os.environ if env is None else env
     for section, keys in config.items():
         for key in keys:
             env_name = f"{ENV_PREFIX}_{section.upper()}_{key.upper()}"
-            if env_name in env:
-                config[section][key] = _coerce(config[section][key], env[env_name])
+            if env_name in os.environ:
+                config[section][key] = _coerce(config[section][key], os.environ[env_name])
     for (section, key), value in (overrides or {}).items():
         if value is None:
             continue
@@ -127,15 +120,14 @@ def parse_float_list(text) -> list:
 
 def grid_from_config(config: dict) -> TimeGrid:
     g = config["grid"]
-    return TimeGrid(step_minutes=g["step_minutes"], steps=int(g["horizon_steps"]),
-                    origin=g["origin"])
+    return TimeGrid(step_minutes=g["step_minutes"], steps=int(g["horizon_steps"]))
 
 
 def spec_from_config(config: dict) -> DataCenterSpec:
     d = config["datacenter"]
     overhead = d["preempt_overhead_min"]
     if overhead < 0:
-        overhead = DEVICE_PREEMPT_OVERHEAD_MIN[d["device_class"]]
+        overhead = default_preempt_overhead_min(d["device_class"])
     return DataCenterSpec(
         total_resources=d["total_resources"],
         unit_power_kw=d["unit_power_kw"],

@@ -23,7 +23,7 @@ import numpy as np
 
 from .model import TimeGrid
 
-#: Canonical job-trace column names; a schema map may rename them per file.
+#: Job-trace column names; a trace file's header must contain each of them.
 JOB_TRACE_COLUMNS = ("id", "submit_unix_s", "start_unix_s", "end_unix_s", "resources")
 
 #: Cloud pricing table columns, in file order. Headers are matched after
@@ -80,7 +80,7 @@ class RawJobTable:
     def workload_resource_seconds(self) -> float:
         return float(np.sum((self.end - self.start) * self.resources))
 
-    def select(self, mask: np.ndarray, span=None, dropped=None) -> "RawJobTable":
+    def select(self, mask: np.ndarray, span=None) -> "RawJobTable":
         idx = np.flatnonzero(mask)
         return RawJobTable(
             ids=tuple(self.ids[i] for i in idx),
@@ -88,21 +88,18 @@ class RawJobTable:
             start=self.start[idx],
             end=self.end[idx],
             resources=self.resources[idx],
-            dropped=self.dropped if dropped is None else dropped,
+            dropped=self.dropped,
             span=self.span if span is None else span,
         )
 
 
-def parse_job_trace(path, schema: dict | None = None) -> RawJobTable:
+def parse_job_trace(path) -> RawJobTable:
     """Parse a job trace CSV into a RawJobTable.
 
-    schema maps canonical column names to the file's column names, e.g.
-    ``{"start_unix_s": "start_time"}``; unmapped columns keep their
-    canonical names. Rows with missing or non-numeric fields, non-positive
-    resources, or end < start are dropped and counted.
+    The header must name every column of JOB_TRACE_COLUMNS, in any order.
+    Rows with missing or non-numeric fields, non-positive resources, or
+    end < start are dropped and counted.
     """
-    schema = dict(schema or {})
-    colmap = {canon: schema.get(canon, canon) for canon in JOB_TRACE_COLUMNS}
     path = Path(path)
     try:
         handle = path.open(newline="")
@@ -117,19 +114,12 @@ def parse_job_trace(path, schema: dict | None = None) -> RawJobTable:
             header = next(reader)
         except StopIteration:
             raise IngestError(f"job trace {path} is empty") from None
-        positions = {}
-        for canon, name in colmap.items():
+        for name in JOB_TRACE_COLUMNS:
             if name not in header:
                 raise IngestError(f"job trace {path} missing column {name!r}")
-            positions[canon] = header.index(name)
-        i_id, i_sub, i_sta, i_end, i_res = (
-            positions["id"],
-            positions["submit_unix_s"],
-            positions["start_unix_s"],
-            positions["end_unix_s"],
-            positions["resources"],
-        )
-        width = max(positions.values()) + 1
+        positions = [header.index(name) for name in JOB_TRACE_COLUMNS]
+        i_id, i_sub, i_sta, i_end, i_res = positions
+        width = max(positions) + 1
         for row in reader:
             if len(row) < width:
                 dropped += 1

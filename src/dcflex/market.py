@@ -9,7 +9,6 @@ non-decreasing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -42,24 +41,17 @@ def price_percentile_table(series_list, percentiles: Sequence[float] = DEFAULT_P
     return table
 
 
-@dataclass
-class CellProfitability:
-    cell: dict                 # key fields of the grid cell
-    acof: float | None
-    degenerate: bool
-    breakeven_percentile: dict  # market -> percentile or None (never profitable)
-
-
 def profitability_report(acof_grid: CampaignResult, prices: dict) -> dict:
     """Minimum price percentile at which each grid cell turns profitable.
 
     prices is the output of price_percentile_table. Degenerate cells
     (zero-cost, zero-energy) are flagged and excluded from profitability
-    claims.
+    claims. Each cell's breakeven_percentile maps a market to its
+    break-even percentile, or None where no percentile covers the cost.
     """
     if acof_grid.kind != "costmin":
         raise ValueError("profitability needs a cost campaign grid")
-    entries = []
+    cells = []
     for key in sorted(acof_grid.cells, key=lambda k: (
             k.duration_hours, k.annual_frequency, k.max_delay_frac,
             -1.0 if k.flex_fraction is None else k.flex_fraction)):
@@ -73,30 +65,20 @@ def profitability_report(acof_grid: CampaignResult, prices: dict) -> dict:
                         found = p
                         break
                 breakeven[market] = found
-        entries.append(CellProfitability(
-            cell={
-                "duration_hours": key.duration_hours,
-                "annual_frequency": key.annual_frequency,
-                "max_delay_frac": key.max_delay_frac,
-                "flex_fraction": key.flex_fraction,
-            },
-            acof=cell.acof,
-            degenerate=cell.degenerate,
-            breakeven_percentile=breakeven,
-        ))
+        cells.append({
+            "duration_hours": key.duration_hours,
+            "annual_frequency": key.annual_frequency,
+            "max_delay_frac": key.max_delay_frac,
+            "flex_fraction": key.flex_fraction,
+            "acof": cell.acof,
+            "degenerate": cell.degenerate,
+            "breakeven_percentile": breakeven,
+        })
     return {
         "currency": "USD",
         "markets": {m: {repr(p): v for p, v in ptable.items()}
                     for m, ptable in prices.items()},
-        "cells": [
-            {
-                **entry.cell,
-                "acof": entry.acof,
-                "degenerate": entry.degenerate,
-                "breakeven_percentile": entry.breakeven_percentile,
-            }
-            for entry in entries
-        ],
+        "cells": cells,
     }
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -66,10 +66,6 @@ class TimeGrid:
         return int(round(per_day))
 
 
-#: Default configuration: 15-minute resolution over a 10-day horizon.
-DEFAULT_GRID = TimeGrid(step_minutes=15.0, steps=960)
-
-
 def activations_per_window(annual_frequency: float, horizon_days: float) -> int:
     """Number of service activations falling inside one optimization horizon.
 
@@ -88,36 +84,12 @@ def duration_to_steps(duration_hours: float, grid: TimeGrid) -> int:
     return max(1, round_half_away(duration_hours * 60.0 / grid.step_minutes))
 
 
-@dataclass(frozen=True)
-class JobRecord:
-    """A discretized computing job.
-
-    resources may be fractional (job aggregation and short-job rescaling
-    both produce non-integer resource counts).
-    """
-
-    id: str
-    submit_step: int
-    compute_steps: int
-    resources: float
-
-    def __post_init__(self):
-        if self.submit_step < 1:
-            raise ValueError(f"job {self.id}: submit_step must be >= 1")
-        if self.compute_steps < 1:
-            raise ValueError(f"job {self.id}: compute_steps must be >= 1")
-        if self.resources <= 0:
-            raise ValueError(f"job {self.id}: resources must be positive")
-
-    @property
-    def baseline_complete_step(self) -> int:
-        return self.submit_step + self.compute_steps - 1
-
-
 class JobTable:
-    """Column-oriented collection of JobRecords.
+    """Column-oriented collection of discretized computing jobs.
 
     Backed by read-only numpy arrays so tables can be shared freely.
+    resources may be fractional (job aggregation and short-job rescaling
+    both produce non-integer resource counts).
     """
 
     def __init__(self, ids: Sequence[str], submit_step, compute_steps, resources):
@@ -148,27 +120,6 @@ class JobTable:
     def workload(self) -> float:
         """Total workload in resource-steps: sum of D_j * N^R_j."""
         return float(np.sum(self.compute_steps * self.resources))
-
-    def record(self, i: int) -> JobRecord:
-        return JobRecord(
-            id=self.ids[i],
-            submit_step=int(self.submit_step[i]),
-            compute_steps=int(self.compute_steps[i]),
-            resources=float(self.resources[i]),
-        )
-
-    def records(self) -> Iterator[JobRecord]:
-        for i in range(len(self)):
-            yield self.record(i)
-
-    @classmethod
-    def from_records(cls, records: Sequence[JobRecord]) -> "JobTable":
-        return cls(
-            [r.id for r in records],
-            [r.submit_step for r in records],
-            [r.compute_steps for r in records],
-            [r.resources for r in records],
-        )
 
     @classmethod
     def empty(cls) -> "JobTable":
@@ -228,12 +179,6 @@ class EconParams:
     def __post_init__(self):
         if self.price_reduction_coeff < 0 or self.hourly_unit_price < 0 or self.energy_price < 0:
             raise ValueError("economic parameters must be non-negative")
-
-
-#: Nominal setting under which campaigns are solved before scaling.
-NOMINAL_ECON = EconParams(price_reduction_coeff=0.5, hourly_unit_price=1.0, energy_price=0.05)
-NOMINAL_UNIT_POWER_KW = 1.0
-NOMINAL_FIXED_POWER_KW = 0.0
 
 
 @dataclass(frozen=True)
@@ -308,10 +253,6 @@ class ActivationPlan:
             return 0
         a, b = self.windows[0]
         return b - a + 1
-
-    def steps_of(self, i: int) -> range:
-        a, b = self.windows[i]
-        return range(a, b + 1)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ from .ingest import RawJobTable
 from .model import BaselineProfile, DataCenterSpec, JobTable, TimeGrid
 
 JOB_STEP_COLUMNS = ("id", "submit_step", "complete_step", "compute_steps", "resources")
+#: Cap on the Lloyd iterations of one k-means run.
+KMEANS_MAX_ITER = 50
 
 
 def zero_queue(table: RawJobTable) -> RawJobTable:
@@ -97,8 +99,7 @@ def partition_to_horizon(table: JobTable, horizon: tuple) -> JobTable:
     )
 
 
-def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
-            max_iter: int = 50) -> np.ndarray:
+def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Plain k-means on raw features with k-means++ seeding.
 
     Returns integer labels. Points are (start, complete) step pairs, both
@@ -136,7 +137,7 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
         d2 = np.minimum(d2, (ux - centroids[c, 0]) ** 2 + (uy - centroids[c, 1]) ** 2)
 
     labels = np.zeros(len(uniq), dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         dist = (ux[:, None] - centroids[:, 0]) ** 2 + (uy[:, None] - centroids[:, 1]) ** 2
         new_labels = np.argmin(dist, axis=1)
         if np.array_equal(new_labels, labels):

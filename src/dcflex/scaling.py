@@ -71,9 +71,10 @@ def scale_acof(acof_nominal: float, price_reduction_coeff: float,
 def scale_acof_dq(apcof_nominal: float, aecof_nominal: float,
                   price_reduction_coeff: float, hourly_unit_price: float,
                   unit_power_kw: float, energy_price: float,
-                  nominal_econ: EconParams, nominal_unit_power_kw: float = 1.0) -> float:
-    """Rescale a dynamic-quota ACoF split: price part by the cost scaling
-    factor, energy part linearly in the energy price."""
+                  nominal_econ: EconParams, nominal_unit_power_kw: float = 1.0) -> tuple:
+    """Rescale an ACoF split into its (APCoF, AECoF) parts: the price part
+    by the cost scaling factor, the energy part linearly in the energy
+    price. Their sum is the rescaled ACoF."""
     if nominal_econ.energy_price <= 0:
         raise ValueError("nominal energy price must be positive")
     price_part = apcof_nominal * cost_scaling_factor(
@@ -81,7 +82,7 @@ def scale_acof_dq(apcof_nominal: float, aecof_nominal: float,
         nominal_econ, nominal_unit_power_kw,
     )
     energy_part = aecof_nominal * energy_price / nominal_econ.energy_price
-    return price_part + energy_part
+    return price_part, energy_part
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ import pytest
 
 from dcflex.campaign import derive_seed, sample_activations
 from dcflex.cli import cli_main
-from dcflex.model import TimeGrid
+from dcflex.model import EconParams, TimeGrid
+from dcflex.scaling import scale_acof_dq
 
 DATA = Path(__file__).parent / "data"
 
@@ -105,6 +106,17 @@ def test_flexmax_costmin_scale_report_profit(tmp_path):
     assert scell["mean_flex_kw"] == pytest.approx(4.0, abs=1e-6)  # G doubled
     assert scaled["config"]["scaled_to"]["unit_power_kw"] == 2.0
 
+    scaled_cost_json = tmp_path / "scaled_cost.json"
+    rc = cli_main(["scale", "--grid", str(cost_json), "--A", "0.8", "--R", "1.2",
+                   "--G", "2", "--pi", "0.1", "--out", str(scaled_cost_json)])
+    assert rc == 0
+    scell = next(iter(json.loads(scaled_cost_json.read_text())["cells"].values()))
+    apcof, aecof = scale_acof_dq(
+        ccell["apcof"], ccell["aecof"], 0.8, 1.2, 2.0, 0.1,
+        EconParams(**cost_payload["config"]["econ"]),
+        cost_payload["config"]["datacenter"]["unit_power_kw"])
+    assert (scell["apcof"], scell["aecof"], scell["acof"]) == (apcof, aecof, apcof + aecof)
+
     prefix = tmp_path / "heat"
     rc = cli_main(["report", "--grid", str(grid_json), "--out-prefix", str(prefix)])
     assert rc == 0
@@ -167,3 +179,41 @@ def test_env_override(tmp_path, monkeypatch):
     payload = json.loads(grid_json.read_text())
     assert payload["config"]["master_seed"] == 99
     assert payload["config"]["toolkit"]["campaign"]["master_seed"] == 99
+
+
+def test_scale_rejects_a_grid_solved_at_zero_energy_price(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    write_tiny_trace(trace)
+    config = tmp_path / "conf.ini"
+    config.write_text(TINY_CONFIG + "\n[econ]\nenergy_price = 0.0\n")
+    cost_json = tmp_path / "cost.json"
+    rc = cli_main(["--config", str(config), "costmin", "--trace", str(trace),
+                   "--seed", str(seed_with_window_at_one(1.0)), "--out", str(cost_json)])
+    assert rc == 0
+    rc = cli_main(["scale", "--grid", str(cost_json), "--A", "0.5", "--R", "1",
+                   "--G", "1", "--out", str(tmp_path / "scaled.json")])
+    assert rc == 1
+    assert "error: nominal energy price must be positive" in capsys.readouterr().err
+
+
+def test_campaign_flags_reach_the_echoed_config(tmp_path):
+    trace = tmp_path / "t.csv"
+    write_tiny_trace(trace)
+    seed = seed_with_window_at_one(1.0)
+    flagged = tmp_path / "flagged.ini"
+    flagged.write_text(TINY_CONFIG.replace("delays = 1.0", "delays = 0.5"))
+    in_file = tmp_path / "in_file.ini"
+    in_file.write_text(TINY_CONFIG + f"master_seed = {seed}\nworkers = 1\n")
+    runs = {}
+    for config, flags in ((flagged, ["--delays", "1.0", "--seed", str(seed), "--workers", "1"]),
+                          (in_file, [])):
+        out = tmp_path / f"{config.stem}.json"
+        rc = cli_main(["--config", str(config), "flexmax", "--trace", str(trace),
+                       *flags, "--out", str(out)])
+        assert rc == 0
+        runs[config.stem] = json.loads(out.read_text())
+    echoed = runs["flagged"]["config"]["toolkit"]
+    campaign = echoed["campaign"]
+    assert (campaign["delays"], campaign["master_seed"], campaign["workers"]) == ("1.0", seed, 1)
+    assert echoed == runs["in_file"]["config"]["toolkit"]
+    assert runs["flagged"]["cells"] == runs["in_file"]["cells"]

@@ -1,0 +1,54 @@
+"""The demos and the README quickstart keep working against the package.
+
+The fast demos run end to end in a subprocess; the slow ones (minutes of
+solves) and the quickstart are only checked for importing names that
+exist, by reading their source with ast.
+"""
+
+import ast
+import importlib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dcflex
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
+PACKAGE_ROOT = str(Path(dcflex.__file__).resolve().parent.parent)
+
+
+@pytest.mark.parametrize("script", ["01_tiny_fixture.py", "04_cost_scaling_factors.py",
+                                    "05_market_profitability.py"])
+def test_fast_demo_runs(script, tmp_path):
+    path = os.pathsep.join(p for p in (PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(DEMOS / script)], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+
+
+def dcflex_imports(source: str) -> list:
+    """(module, name) for every ``from dcflex... import name`` in source."""
+    return [(node.module, alias.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "dcflex"
+            for alias in node.names]
+
+
+def test_slow_demos_and_quickstart_import_existing_names():
+    sources = [(DEMOS / script).read_text() for script in (
+        "02_flexibility_campaign.py", "03_cost_of_flexibility.py",
+        "06_utilization_correlation.py")]
+    sources += re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(sources) == 4
+    imports = [pair for source in sources for pair in dcflex_imports(source)]
+    assert imports
+    missing = [f"{module}.{name}" for module, name in imports
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing

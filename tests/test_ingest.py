@@ -52,17 +52,6 @@ def test_parse_drops_bad_rows(tmp_path):
     assert table.dropped == 3
 
 
-def test_parse_schema_map(tmp_path):
-    path = tmp_path / "t.csv"
-    write_trace(path, [("a", 0, 0, 3600, 2)],
-                header=("job", "sub", "beg", "fin", "gpus"))
-    table = parse_job_trace(path, schema={
-        "id": "job", "submit_unix_s": "sub", "start_unix_s": "beg",
-        "end_unix_s": "fin", "resources": "gpus",
-    })
-    assert len(table) == 1
-
-
 def test_parse_missing_column(tmp_path):
     path = tmp_path / "t.csv"
     write_trace(path, [("a", 0, 0, 3600)], header=("id", "submit_unix_s", "start_unix_s", "end_unix_s"))

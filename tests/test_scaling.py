@@ -56,11 +56,13 @@ def test_scale_acof():
 
 def test_scale_acof_dq():
     same = scale_acof_dq(0.2, 0.1, 0.5, 1.0, 1.0, 0.05, NOMINAL, 1.0)
-    assert same == pytest.approx(0.3)
+    assert same == pytest.approx((0.2, 0.1))
     doubled_pi = scale_acof_dq(0.2, 0.1, 0.5, 1.0, 1.0, 0.10, NOMINAL, 1.0)
-    assert doubled_pi == pytest.approx(0.2 + 0.2)
+    assert doubled_pi == pytest.approx((0.2, 0.2))
     scaled = scale_acof_dq(0.0, 0.1, 0.5, 1.0, 1.0, 0.10, NOMINAL, 1.0)
-    assert scaled == pytest.approx(0.2)
+    assert scaled == pytest.approx((0.0, 0.2))
+    with pytest.raises(ValueError, match="energy price"):
+        scale_acof_dq(0.2, 0.0, 0.5, 1.0, 1.0, 0.05, EconParams(energy_price=0.0), 1.0)
 
 
 def _option(provider, model, speed, price, power_w, device="gpu", count=1.0):
