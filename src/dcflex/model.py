@@ -290,19 +290,22 @@ class SolveStats:
 
     Bounds are in the model's own objective (sense and constant included);
     None where the solver has none. gap is 0.0 for an optimal model
-    without binaries. The model size is what was passed to the solver.
+    without binaries and for a MILP whose LP relaxation proved the optimum.
+    The model size is what was passed to the solver. A MILP is solved as
+    its LP relaxation first and then, unless that proved the result, as a
+    MILP: iterations and highs_s cover both runs.
     """
 
     columns: int
     rows: int
     nonzeros: int
     binaries: int
-    iterations: int                  # simplex iterations
-    nodes: int                       # branch-and-bound nodes, 0 without binaries
+    iterations: int                  # simplex iterations of every HiGHS run
+    nodes: int                       # branch-and-bound nodes, 0 if no MILP ran
     dual_bound: float | None
     primal_bound: float | None
     gap: float | None
-    highs_s: float                   # wall time of the HiGHS run
+    highs_s: float                   # wall time of the HiGHS runs
 
 
 @dataclass

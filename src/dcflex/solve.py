@@ -1,13 +1,20 @@
 """Solver backend contract and solution decoding.
 
-Every model, the flexibility LP and the cost MILP alike, is solved by one
-direct call into the HiGHS that scipy bundles, in `_run_highs`. That call
+Every model, the flexibility LP and the cost MILP alike, is solved by
+direct calls into the HiGHS that scipy bundles, in `_run_highs`. That call
 goes through scipy's private ``scipy.optimize._highspy._core._Highs``
 binding, which is used in this module and nowhere else; the public
 ``scipy.optimize.milp`` would wrap the same solver in per-column work
 (variable-type objects, the basis, bound marginals) that nothing here
 reads. Single-threaded HiGHS is deterministic, so identical models produce
 identical solutions regardless of scheduling.
+
+A model with binaries is first solved as its LP relaxation. When that LP
+is optimal and every integer column lies within HiGHS's MIP feasibility
+tolerance of an integer, its solution is feasible for the MILP and its
+objective bounds the MILP's, so it is the MILP optimum and branch-and-bound
+never runs; an infeasible relaxation proves the MILP infeasible. Otherwise
+the MILP runs in the time the relaxation left.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -57,29 +64,38 @@ class SolverBackend:
 
 DEFAULT_BACKEND = SolverBackend()
 
+# HiGHS's default mip_feasibility_tolerance, which the backend leaves as it
+# is: its MIP solver takes a column this close to an integer as integral
+_INTEGER_TOL = 1e-6
+
 
 class TargetUnreachableError(RuntimeError):
     """Raised when a cost minimization asks for more flexibility than exists."""
 
 
-def _run_highs(model: ModelInstance, backend: SolverBackend):
+def _run_highs(model: ModelInstance, backend: SolverBackend, relax: bool = False):
     """Minimize the model (a max model through its negated objective) in HiGHS.
 
-    Returns (HighsModelStatus, HighsInfo, column values or None, seconds in
-    run()); the values are read only when HiGHS holds a feasible solution.
+    With relax, the integrality of the columns is dropped and the LP
+    relaxation is solved under the LP options. Returns (HighsModelStatus,
+    HighsInfo, column values or None, seconds in run()); the values are read
+    only when HiGHS holds a feasible solution.
     """
-    is_mip = model.n_binary > 0
+    is_mip = model.n_binary > 0 and not relax
     a = model.a_matrix.tocsc()
     h = highs._Highs()
     for name, value in backend.options(is_mip).items():
         if h.setOptionValue(name, value) != highs.HighsStatus.kOk:
             raise ValueError(f"HiGHS rejected option {name}={value!r}")
-    # the array form of passModel reads the numpy buffers in place
+    # the array form of passModel reads the numpy buffers in place; it reads
+    # a full-length integrality array even for an LP (an empty one is read
+    # past its end), and HiGHS solves an all-zero one as an LP
     h.passModel(model.n_vars, model.n_rows, a.nnz, int(highs.MatrixFormat.kColwise),
                 int(highs.ObjSense.kMinimize), 0.0,
                 model.obj if model.sense == "min" else -model.obj,
                 model.var_lb, model.var_ub, model.row_lb, model.row_ub,
-                a.indptr, a.indices, a.data, model.integrality)
+                a.indptr, a.indices, a.data,
+                np.zeros_like(model.integrality) if relax else model.integrality)
     start = time.perf_counter()
     h.run()
     seconds = time.perf_counter() - start
@@ -93,6 +109,13 @@ def _run_highs(model: ModelInstance, backend: SolverBackend):
 def solve(model: ModelInstance, backend: SolverBackend = DEFAULT_BACKEND) -> ScheduleSolution:
     """Solve a model and map variable values back to domain indices.
 
+    A model with binaries is solved as its LP relaxation first. An optimal
+    relaxation whose integer columns are all integral within HiGHS's MIP
+    feasibility tolerance is returned as the MILP optimum, with no nodes and
+    gap 0.0; an infeasible one proves the MILP infeasible. Any other
+    relaxation outcome runs the MILP with the time the relaxation left of
+    backend.time_limit_s, and the stats count both runs.
+
     Infeasible, unbounded, limit and error statuses are propagated on the
     returned solution; a limit keeps values only for a model with binaries
     that has an incumbent. A cost minimization that is infeasible is
@@ -100,14 +123,25 @@ def solve(model: ModelInstance, backend: SolverBackend = DEFAULT_BACKEND) -> Sch
     is always feasible, so infeasibility can only come from the target).
     """
     is_mip = model.n_binary > 0
-    highs_status, info, values, seconds = _run_highs(model, backend)
+    highs_status, info, values, seconds = _run_highs(model, backend, relax=is_mip)
     status = _STATUS.get(highs_status.name, "error")
-    if not (status == "optimal" or (status == "limit" and is_mip)):
+    run, iterations = "lp", 0
+    if is_mip:
+        run = "relaxation"
+        proved = status == "infeasible" or (status == "optimal" and _integral(model, values))
+        if not proved:
+            run, iterations = "branch-and-bound", max(info.simplex_iteration_count, 0)
+            limited = replace(backend, time_limit_s=max(backend.time_limit_s - seconds, 0.0))
+            highs_status, info, values, milp_s = _run_highs(model, limited)
+            status = _STATUS.get(highs_status.name, "error")
+            seconds += milp_s
+    if not (status == "optimal" or (status == "limit" and run == "branch-and-bound")):
         values = None
-    stats = _stats(model, info, is_mip, status, values is not None, seconds)
-    log.debug("%s solve: %d columns, %d rows, %d nonzeros, %d binaries; %s, "
+    stats = _stats(model, info, run == "branch-and-bound", status, values is not None,
+                   iterations, seconds)
+    log.debug("%s solve: %d columns, %d rows, %d nonzeros, %d binaries; %s by %s, "
               "%d iterations, %d nodes, gap %s, %.3f s", model.kind, stats.columns,
-              stats.rows, stats.nonzeros, stats.binaries, status, stats.iterations,
+              stats.rows, stats.nonzeros, stats.binaries, status, run, stats.iterations,
               stats.nodes, stats.gap, seconds)
     if values is None:
         return ScheduleSolution(
@@ -119,8 +153,18 @@ def solve(model: ModelInstance, backend: SolverBackend = DEFAULT_BACKEND) -> Sch
     return _decode(model, values, status, stats)
 
 
-def _stats(model, info, is_mip, status, has_values, seconds) -> SolveStats:
-    """HiGHS's bounds turned back into the model's objective, sense and constant."""
+def _integral(model: ModelInstance, values: np.ndarray) -> bool:
+    """Whether every integer column of the model is integral in values."""
+    x = values[model.integrality > 0]
+    return bool(np.all(np.abs(x - np.round(x)) <= _INTEGER_TOL))
+
+
+def _stats(model, info, is_mip, status, has_values, iterations, seconds) -> SolveStats:
+    """HiGHS's bounds turned back into the model's objective, sense and constant.
+
+    is_mip says whether info comes from a MILP run; iterations are added to
+    the run's own, seconds are the time of every run.
+    """
     sign = 1.0 if model.sense == "min" else -1.0
 
     def bound(value):
@@ -134,7 +178,8 @@ def _stats(model, info, is_mip, status, has_values, seconds) -> SolveStats:
         dual, gap = (primal, 0.0) if status == "optimal" else (None, None)
     return SolveStats(
         columns=model.n_vars, rows=model.n_rows, nonzeros=model.a_matrix.nnz,
-        binaries=model.n_binary, iterations=max(info.simplex_iteration_count, 0),
+        binaries=model.n_binary,
+        iterations=iterations + max(info.simplex_iteration_count, 0),
         nodes=max(info.mip_node_count, 0) if is_mip else 0,
         dual_bound=dual, primal_bound=primal, gap=gap, highs_s=seconds,
     )

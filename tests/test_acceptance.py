@@ -324,6 +324,31 @@ def test_criterion_10_determinism_across_workers(tmp_path):
     assert runs[0] == runs[1]
 
 
+def test_cost_campaign_determinism_across_workers(tmp_path):
+    # criterion 10 for a dynamic-quota cost campaign: two horizons of cost
+    # MILPs at fractions 0.9 and 1.0, each with its flexibility and
+    # zero-delay LPs
+    spec = DataCenterSpec(
+        total_resources=100.0, unit_power_kw=1.0, fixed_power_kw=0.0,
+        preempt_overhead_min=0.5, preempt_budget_frac=0.01,
+        max_delay_frac=0.2, device_class="cpu_general",
+    )
+    grid = TimeGrid(15, 960)
+    trace = generate_synthetic_trace("general_like", 20, 0, grid, spec)
+    table = discretize(zero_queue(trace), grid)
+    services = service_grid([0.25], [365.0], grid)
+    runs = []
+    for workers in (1, 2):
+        result = run_costmin_campaign(table, spec, EconParams(), grid, services, [0.2],
+                                      [0.9, 1.0], dq=DqParams(True, 0.5), master_seed=11,
+                                      n_workers=workers)
+        assert [c.statuses for c in result.cells.values()] == [("optimal", "optimal")] * 2
+        path = tmp_path / f"cost_w{workers}.json"
+        result.write_json(path)
+        runs.append(path.read_bytes())
+    assert runs[0] == runs[1]
+
+
 SUPP_ENV = "DCFLEX_SUPP_PRICING_CSV"
 
 

@@ -296,6 +296,8 @@ def _count_layer_calls(monkeypatch) -> Counter:
 
         def counted(*args, **kwargs):
             counts[name] += 1
+            if kwargs.get("relax"):  # the LP relaxation solve() runs before a MILP
+                counts["relaxation"] += 1
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
@@ -317,14 +319,17 @@ def test_campaign_calls_each_layer_through_its_module_name(monkeypatch):
                              aggregate_daily=2, baseline_profile=2)
 
     # under dynamic quota every cell adds its zero-delay LP, and each
-    # fraction but the degenerate 0.0 one adds a cost solve
+    # fraction but the degenerate 0.0 one adds a cost solve. Horizon 1's four
+    # cost models have binaries: each is solved as its LP relaxation first,
+    # and the three whose relaxation is fractional go on to branch-and-bound
     counts.clear()
     result = run_costmin_campaign(jobs, spec, ECON, grid, services, delays,
                                   [0.0, 0.5, 1.0], dq=DqParams(True, 0.5), master_seed=5)
     assert [c.degenerate for c in result.cells.values()] == [True, False, False] * 2
     assert counts == Counter(build_flexmax=2 * cells, build_costmin=2 * cells,
-                             solve=4 * cells, _run_highs=4 * cells, sample_activations=cells,
-                             partition_to_horizon=2, aggregate_daily=2, baseline_profile=2)
+                             solve=4 * cells, _run_highs=4 * cells + 3, relaxation=4,
+                             sample_activations=cells, partition_to_horizon=2,
+                             aggregate_daily=2, baseline_profile=2)
     # horizon 2 holds only the pad job, whose cost model has no binaries: its
     # optimal solve reports gap 0.0, not a missing gap
     assert result.cell(0.25, 2920.0, 1.0, 0.5).gaps == (0.0, 0.0)

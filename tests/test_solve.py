@@ -4,12 +4,13 @@ import logging
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.optimize._highspy._core import HighsModelStatus
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from dcflex.model import ActivationPlan, JobTable
 from dcflex.preprocess import baseline_profile
 from dcflex.problem import DqParams, build_costmin, build_flexmax
 from dcflex.solve import (
+    _INTEGER_TOL,
     DEFAULT_BACKEND,
     TargetUnreachableError,
     _decode,
@@ -169,23 +170,51 @@ def _oracle_models():
     yield build_costmin(jobs, spec, ECON, baseline_profile(jobs, spec, TINY_GRID), plan, 3.0)
 
 
+def _relaxation_proves(model) -> bool:
+    """Whether the model has binaries and an optimal, integral LP relaxation."""
+    status, _, values, _ = _run_highs(model, DEFAULT_BACKEND, relax=True)
+    if model.n_binary == 0 or status != HighsModelStatus.kOptimal:
+        return False
+    x = values[model.integrality > 0]
+    return bool(np.all(np.abs(x - np.round(x)) <= _INTEGER_TOL))
+
+
 def test_direct_highs_matches_milp_bit_for_bit():
     seen = []
     for i, model in enumerate(_oracle_models()):
         status, x, gap = _reference_solve(model)
         sol = solve(model)
-        assert (sol.status, sol.stats.gap) == (status, gap), i
+        by_relaxation = _relaxation_proves(model)
+        assert (sol.status, sol.stats.gap) == (status, 0.0 if by_relaxation else gap), i
         if x is None:
             assert sol.power_kw is None and _run_highs(model, DEFAULT_BACKEND)[2] is None, i
         else:
             assert _run_highs(model, DEFAULT_BACKEND)[2].tobytes() == x.tobytes(), i
+            # solve() returns the values of the run that proved its result
+            values = _run_highs(model, DEFAULT_BACKEND, relax=by_relaxation)[2]
             p0, T = model.meta["p0"], model.meta["T"]
-            assert sol.power_kw.tobytes() == x[p0:p0 + T].tobytes(), i
-        seen.append((model.kind, model.n_binary > 0, status))
+            assert sol.power_kw.tobytes() == values[p0:p0 + T].tobytes(), i
+        seen.append((model.kind, model.n_binary > 0, status, by_relaxation))
     assert len(seen) == 41
-    assert seen.count(("flexmax", False, "optimal")) == 20
-    assert seen.count(("costmin", True, "optimal")) >= 15
-    assert seen[-1] == ("costmin", True, "infeasible") and sol.target_unreachable
+    outcomes = [s[:3] for s in seen]
+    assert outcomes.count(("flexmax", False, "optimal")) == 20
+    assert outcomes.count(("costmin", True, "optimal")) >= 15
+    # both runs are exercised: MILPs proved by their relaxation and MILPs
+    # that go on to branch-and-bound
+    assert ("costmin", True, "optimal", True) in seen
+    assert ("costmin", True, "optimal", False) in seen
+    assert seen[-1] == ("costmin", True, "infeasible", False) and sol.target_unreachable
+
+
+def test_solve_agrees_with_milp_on_status_and_objective():
+    for i, model in enumerate(_oracle_models()):
+        status, x, _ = _reference_solve(model)
+        sol = solve(model)
+        assert sol.status == status, i
+        if x is not None:
+            objective = float(model.obj @ x) + model.obj_const
+            assert sol.stats.primal_bound == pytest.approx(
+                objective, rel=DEFAULT_BACKEND.mip_rel_gap, abs=1e-9), i
 
 
 def test_lp_stats(tiny_a):
@@ -201,11 +230,80 @@ def test_mip_stats(tiny_a, caplog):
     with caplog.at_level(logging.DEBUG, logger="dcflex.solve"):
         sol = solve(build_costmin(jobs, spec, ECON, base, plan, 2.0))
     stats = sol.stats
-    assert stats.nodes >= 1
+    # the LP relaxation of this model is integral and proves the optimum
+    assert stats.nodes == 0 and stats.iterations > 0
     assert stats.primal_bound == pytest.approx(sol.total_cost, abs=1e-9)
-    assert stats.dual_bound <= stats.primal_bound
-    assert stats.gap == pytest.approx(0.0, abs=1e-4)
+    assert stats.dual_bound == stats.primal_bound
+    assert stats.gap == 0.0
     assert [r.getMessage().split(":")[0] for r in caplog.records] == ["costmin solve"]
+    assert "optimal by relaxation" in caplog.records[0].getMessage()
+
+
+def _count_runs(monkeypatch) -> list:
+    """Record (relax, time limit, result) of every _run_highs call."""
+    runs = []
+
+    def counted(model, backend, relax=False):
+        result = _run_highs(model, backend, relax)
+        runs.append((relax, backend.time_limit_s, result))
+        return result
+    monkeypatch.setattr(solve_module, "_run_highs", counted)
+    return runs
+
+
+def test_integral_relaxation_skips_branch_and_bound(monkeypatch, tiny_a):
+    jobs, spec, base, plan = tiny_a
+    runs = _count_runs(monkeypatch)
+    sol = solve(build_costmin(jobs, spec, ECON, base, plan, 2.0))
+    assert [relax for relax, _, _ in runs] == [True]
+    assert sol.status == "optimal" and sol.total_cost == pytest.approx(0.25, abs=1e-6)
+    assert (sol.stats.nodes, sol.stats.gap) == (0, 0.0)
+    assert sol.stats.highs_s == runs[0][2][3]
+    # the tolerance solve() rounds by is the one HiGHS's MIP solver uses
+    assert _INTEGER_TOL == _Highs().getOptionValue("mip_feasibility_tolerance")[1]
+
+
+def _fractional_costmin():
+    """A no-quota fraction-1.0 cost model whose LP relaxation is fractional."""
+    rng = np.random.default_rng(0)
+    grid, jobs, spec, base = random_instance(rng, max_jobs=8, max_steps=12)
+    plan = random_plan(rng, grid)
+    target = solve(build_flexmax(jobs, spec, base, plan)).mean_flex_kw
+    return build_costmin(jobs, spec, ECON, base, plan, target)
+
+
+def test_fractional_relaxation_falls_through_to_branch_and_bound(monkeypatch, caplog):
+    model = _fractional_costmin()
+    runs = _count_runs(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="dcflex.solve"):
+        sol = solve(model)
+    assert [relax for relax, _, _ in runs] == [True, False]
+    (_, relax_limit, relaxed), (_, milp_limit, milp_run) = runs
+    values = relaxed[2][model.integrality > 0]
+    assert np.abs(values - np.round(values)).max() > 0.1
+    assert sol.status == "optimal" and sol.stats.nodes >= 1
+    assert sol.stats.gap == pytest.approx(0.0, abs=DEFAULT_BACKEND.mip_rel_gap)
+    # the MILP gets what the relaxation left of the time limit, and the
+    # stats count both runs
+    assert relax_limit == DEFAULT_BACKEND.time_limit_s
+    assert milp_limit == DEFAULT_BACKEND.time_limit_s - relaxed[3]
+    assert sol.stats.highs_s == relaxed[3] + milp_run[3]
+    assert sol.stats.iterations == (relaxed[1].simplex_iteration_count
+                                    + milp_run[1].simplex_iteration_count)
+    p0, T = model.meta["p0"], model.meta["T"]
+    assert sol.power_kw.tobytes() == milp_run[2][p0:p0 + T].tobytes()
+    # one record per solve() call, naming the run that gave the result
+    assert len(caplog.records) == 1
+    assert "optimal by branch-and-bound" in caplog.records[0].getMessage()
+
+
+def test_unreachable_target_is_decided_by_the_relaxation(monkeypatch, tiny_a):
+    jobs, spec, base, plan = tiny_a
+    runs = _count_runs(monkeypatch)
+    sol = solve(build_costmin(jobs, spec, ECON, base, plan, 3.0))
+    assert [relax for relax, _, _ in runs] == [True]
+    assert sol.status == "infeasible" and sol.target_unreachable
+    assert sol.stats.nodes == 0
 
 
 def test_model_size_in_stats(tiny_a, caplog):
@@ -236,9 +334,11 @@ def test_highs_status_by_name(monkeypatch, tiny_a, name):
     jobs, spec, base, plan = tiny_a
     models = {"flexmax": build_flexmax(jobs, spec, base, plan),
               "costmin": build_costmin(jobs, spec, ECON, base, plan, 2.0)}
-    solved = {kind: _run_highs(model, DEFAULT_BACKEND) for kind, model in models.items()}
-    monkeypatch.setattr(solve_module, "_run_highs", lambda model, backend: (
-        HighsModelStatus.__members__[name],) + solved[model.kind][1:])
+    solved = {(kind, relax): _run_highs(model, DEFAULT_BACKEND, relax)
+              for kind, model in models.items() for relax in (False, True)}
+    # the cost model's relaxation and its MILP both end in the status
+    monkeypatch.setattr(solve_module, "_run_highs", lambda model, backend, relax=False: (
+        HighsModelStatus.__members__[name],) + solved[model.kind, relax][1:])
     expected = _BY_NAME.get(name, "error")
     for kind, model in models.items():
         sol = solve(model)
@@ -254,7 +354,8 @@ def test_limit_without_incumbent_has_no_values(monkeypatch, tiny_a):
     jobs, spec, base, plan = tiny_a
     model = build_costmin(jobs, spec, ECON, base, plan, 2.0)
     _, info, _, seconds = _run_highs(model, DEFAULT_BACKEND)
-    monkeypatch.setattr(solve_module, "_run_highs", lambda model, backend: (
+    # the relaxation proves nothing and the MILP stops without an incumbent
+    monkeypatch.setattr(solve_module, "_run_highs", lambda model, backend, relax=False: (
         HighsModelStatus.kTimeLimit, info, None, seconds))
     sol = solve(model)
     assert sol.status == "limit" and sol.total_cost is None and sol.power_kw is None
