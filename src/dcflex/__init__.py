@@ -47,13 +47,7 @@ from .problem import (
     tightening_bound,
     to_lp_text,
 )
-from .solve import (
-    DEFAULT_BACKEND,
-    SolverBackend,
-    TargetUnreachableError,
-    require_optimal,
-    solve,
-)
+from .solve import DEFAULT_BACKEND, SolverBackend, solve
 from .campaign import (
     CampaignResult,
     CellKey,

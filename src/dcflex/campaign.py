@@ -296,7 +296,9 @@ def _horizon_records(payload) -> list:
 def _run_horizons(payloads, n_workers) -> list:
     if n_workers <= 1 or len(payloads) <= 1:
         return [_campaign_horizon(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
+    # the pool starts every worker at its first task, so ask for no more
+    # workers than there are horizons
+    with ProcessPoolExecutor(max_workers=min(n_workers, len(payloads))) as pool:
         return list(pool.map(_campaign_horizon, payloads))
 
 
@@ -365,14 +367,15 @@ def _run_campaign(table, spec, econ, grid, services, delays, fractions, dq, mast
         ],
         "delays": list(delays),
         "dynamic_quota": {"enabled": dq.enabled, "speedup": dq.speedup},
-        "backend": {"name": backend.name, "mip_rel_gap": backend.mip_rel_gap,
+        "backend": {"name": "highs", "mip_rel_gap": backend.mip_rel_gap,
                     "time_limit_s": backend.time_limit_s},
         "clusters_per_day": clusters_per_day,
         "aggregate": aggregate,
         "horizons": n_h,
     }
     if econ is not None:
-        config.update(flex_fractions=list(fractions), econ=asdict(econ), tighten=True)
+        config.update({"flex_fractions": list(fractions), "econ": asdict(econ),
+                       "tighten": True})
     return CampaignResult(kind=kind, config=config, cells=cells)
 
 

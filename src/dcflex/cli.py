@@ -112,7 +112,6 @@ def _cmd_ingest(args, config):
         series = parse_price_series(
             args.prices, market=args.market,
             conversion_rate=config["ingest"]["currency_rate"],
-            currency=config["ingest"]["currency"],
         )
         with Path(args.out).open("w") as handle:
             handle.write("timestamp_iso8601,price\n")
@@ -168,9 +167,11 @@ def _cmd_csf(args, config):
     options = parse_cloud_pricing(args.pricing)
     if args.device != "both":
         options = options.of_type(args.device)
-    nominal = cfg.econ_from_config(config, "nominal")
-    samples = estimate_csf_samples(options, nominal,
-                                   config["nominal"]["unit_power_kw"])
+    nominal = config["nominal"]
+    samples = estimate_csf_samples(
+        options, EconParams(price_reduction_coeff=nominal["price_reduction_coeff"],
+                            hourly_unit_price=nominal["hourly_unit_price"]),
+        nominal["unit_power_kw"])
     write_csf_samples(samples, args.out)
     _echo_config(config, args.out)
     percentiles = cfg.parse_float_list(args.percentiles)
@@ -226,13 +227,10 @@ def _cmd_profit(args, config):
     for i, path in enumerate(paths):
         market = markets[i] if i < len(markets) else None
         series.append(parse_price_series(
-            path, market=market,
-            conversion_rate=config["ingest"]["currency_rate"],
-            currency=config["ingest"]["currency"],
-        ))
+            path, market=market, conversion_rate=config["ingest"]["currency_rate"]))
     percentiles = (cfg.parse_float_list(args.percentiles) if args.percentiles
                    else DEFAULT_PERCENTILES)
-    table = price_percentile_table(series, percentiles, currency=config["ingest"]["currency"])
+    table = price_percentile_table(series, percentiles)
     report = profitability_report(result, table)
     report["resolved_config"] = config
     write_profitability_json(report, args.out)

@@ -31,7 +31,6 @@ DEFAULTS = {
         "device_class": "gpu_ai",
         "preempt_overhead_min": -1.0,  # <0: per-device-class default
         "preempt_budget_frac": 0.01,
-        "max_delay_frac": 0.2,
     },
     "econ": {
         "price_reduction_coeff": 0.5,
@@ -41,7 +40,6 @@ DEFAULTS = {
     "nominal": {
         "price_reduction_coeff": 0.5,
         "hourly_unit_price": 1.0,
-        "energy_price": 0.05,
         "unit_power_kw": 1.0,
     },
     "campaign": {
@@ -64,7 +62,6 @@ DEFAULTS = {
     },
     "ingest": {
         "currency_rate": 1.0,
-        "currency": "USD",
         "trim_frac": 0.5,
         "allowed_days": "40,60,80",
     },
@@ -134,13 +131,12 @@ def spec_from_config(config: dict) -> DataCenterSpec:
         fixed_power_kw=d["fixed_power_kw"],
         preempt_overhead_min=overhead,
         preempt_budget_frac=d["preempt_budget_frac"],
-        max_delay_frac=d["max_delay_frac"],
         device_class=d["device_class"],
     )
 
 
-def econ_from_config(config: dict, section: str = "econ") -> EconParams:
-    e = config[section]
+def econ_from_config(config: dict) -> EconParams:
+    e = config["econ"]
     return EconParams(
         price_reduction_coeff=e["price_reduction_coeff"],
         hourly_unit_price=e["hourly_unit_price"],

@@ -256,6 +256,7 @@ _PRICING_KEYS = {
     "unitratedpower": "unit_power",
     "totalratedpower": "total_power",
 }
+_PRICING_REQUIRED = ("provider", "type", "model", "count")
 
 
 def _match_pricing_header(header: list) -> dict:
@@ -266,8 +267,7 @@ def _match_pricing_header(header: list) -> dict:
             if norm.startswith(prefix) and key not in found:
                 found[key] = idx
                 break
-    required = ("provider", "type", "model", "count")
-    missing = [k for k in required if k not in found]
+    missing = [k for k in _PRICING_REQUIRED if k not in found]
     if missing:
         raise IngestError(f"pricing file missing columns: {missing}")
     return found
@@ -286,18 +286,15 @@ def _opt_float(row, idx):
     return value if math.isfinite(value) else None
 
 
-def harmonic_mean2(a: float, b: float) -> float:
-    return 2.0 * a * b / (a + b)
-
-
 def parse_cloud_pricing(path) -> CloudOptionTable:
     """Parse a cloud rental pricing CSV into per-unit CloudOptions.
 
     Per-unit price is the total device price divided by the unit count (the
     unit price column is a fallback); per-vCPU power is the physical CPU
     rated power divided by the vCPU count. GPU speed is the harmonic mean
-    of the FP32 and FP16 scores. Rows without usable speed or power are
-    dropped and counted.
+    of the FP32 and FP16 scores. Rows shorter than the provider, type,
+    model or count column, or without usable speed or power, are dropped
+    and counted.
     """
     path = Path(path)
     try:
@@ -313,8 +310,12 @@ def parse_cloud_pricing(path) -> CloudOptionTable:
         except StopIteration:
             raise IngestError(f"pricing file {path} is empty") from None
         cols = _match_pricing_header(header)
+        width = max(cols[k] for k in _PRICING_REQUIRED) + 1
         for row in reader:
             if not any(cell.strip() for cell in row):
+                continue
+            if len(row) < width:
+                dropped += 1
                 continue
             provider = row[cols["provider"]].strip()
             dev = row[cols["type"]].strip().lower()
@@ -346,7 +347,7 @@ def parse_cloud_pricing(path) -> CloudOptionTable:
                 fp16 = _opt_float(row, cols.get("gpu_fp16"))
                 speed = None
                 if fp32 and fp16 and fp32 > 0 and fp16 > 0:
-                    speed = harmonic_mean2(fp32, fp16)
+                    speed = 2.0 * fp32 * fp16 / (fp32 + fp16)
 
             if not speed or speed <= 0 or not unit_power or unit_power <= 0 \
                     or not unit_price or unit_price <= 0:

@@ -329,7 +329,6 @@ class ScheduleSolution:
     job_cost: dict | None = None
     total_cost: float | None = None
     extra_energy_cost: float | None = None
-    target_unreachable: bool = False
     stats: SolveStats | None = None
     decode_x: object = field(default=None, repr=False)  # () -> x, None: no values
 

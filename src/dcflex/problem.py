@@ -354,17 +354,15 @@ def build_flexmax(jobs: JobTable, spec: DataCenterSpec, baseline: BaselineProfil
 
 def build_costmin(jobs: JobTable, spec: DataCenterSpec, econ: EconParams,
                   baseline: BaselineProfile, plan: ActivationPlan, target_kw: float,
-                  dq: DqParams = NO_DQ, tighten: bool = True,
-                  zero_delay_flex_kw: float | None = None,
-                  strengthen: bool = True) -> ModelInstance:
+                  dq: DqParams = NO_DQ,
+                  zero_delay_flex_kw: float | None = None) -> ModelInstance:
     """Build the MILP minimizing the cost of providing target_kw flexibility.
 
-    A target exceeding the flexibility optimum yields an infeasible model;
-    the solver reports it as a typed target-unreachable result rather than
-    an error. With tighten, a valid lower bound on the total price
-    reduction is added as a constraint (zero_delay_flex_kw is the delay-free
-    optimum S_a, needed only under dynamic quota). strengthen adds per-job
-    end-marker floors that speed up branching without changing the optimum.
+    A target exceeding the flexibility optimum yields an infeasible model.
+    The valid lower bound of tightening_bound on the total price reduction
+    is a row (zero_delay_flex_kw is the delay-free optimum S_a, needed only
+    under dynamic quota), and per-job end-marker floors speed up branching;
+    neither changes the optimum.
     """
     if target_kw < 0:
         raise ValueError("target_kw must be non-negative")
@@ -390,7 +388,7 @@ def build_costmin(jobs: JobTable, spec: DataCenterSpec, econ: EconParams,
     b.var_family("delta", delta_col, (job,), 0.0, INF)
     b.var_family("c", c_col, (job,), 0.0, INF)
 
-    floor = (xp_n > 0) & strengthen
+    floor = xp_n > 0
     r_job = b.rows(2 * xp_n + floor + 2)
     r_run = r_job[xj] + 2 * (xt - t_first[xj])
     x_late = x0[xj] + xt - win_a[xj]
@@ -407,8 +405,7 @@ def build_costmin(jobs: JobTable, spec: DataCenterSpec, econ: EconParams,
     r_floor = r_job + 2 * xp_n
     b.row_family("endfloor", r_floor[floor], (job[floor],), done[floor], INF)
     b.entries(r_floor[floor], e_col[floor], 1.0)
-    if strengthen:
-        b.entries(r_floor[xj], x_late, -1.0)
+    b.entries(r_floor[xj], x_late, -1.0)
     r_delay = r_floor + floor
     b.row_family("delay", r_delay, (job,), -done, INF)
     b.entries(r_delay, delta_col, D)
@@ -422,12 +419,11 @@ def build_costmin(jobs: JobTable, spec: DataCenterSpec, econ: EconParams,
     r_target = b.rows([1])
     b.row_family("service_target", r_target, (), plan.count * target_kw, INF)
     b.entries(r_target, meta["s0"] + np.arange(plan.count), 1.0)
-    if tighten:
-        bound = tightening_bound(econ, spec, plan, target_kw, dq=dq,
-                                 zero_delay_flex_kw=zero_delay_flex_kw)
-        r_bound = b.rows([1])
-        b.row_family("cost_bound", r_bound, (), bound, INF)
-        b.entries(r_bound, c_col, 1.0)
+    bound = tightening_bound(econ, spec, plan, target_kw, dq=dq,
+                             zero_delay_flex_kw=zero_delay_flex_kw)
+    r_bound = b.rows([1])
+    b.row_family("cost_bound", r_bound, (), bound, INF)
+    b.entries(r_bound, c_col, 1.0)
 
     objective = [(c_col, 1.0)]
     obj_const = 0.0

@@ -1,4 +1,4 @@
-"""Solver backend contract and solution decoding.
+"""Solver limits and solution decoding.
 
 Every model, the flexibility LP and the cost MILP alike, is solved by
 direct calls into the HiGHS that scipy bundles, in `_run_highs`. That call
@@ -46,20 +46,14 @@ _STATUS = {
 
 @dataclass(frozen=True)
 class SolverBackend:
-    """Name and tolerances of the MILP/LP solver in use."""
+    """Gap and time limit of the branch-and-bound run of a MILP.
 
-    name: str = "highs"
+    An LP, a MILP's relaxation included, runs to its end without a time
+    limit; branch-and-bound gets what of time_limit_s the relaxation left.
+    """
+
     mip_rel_gap: float = 1e-4
     time_limit_s: float = 600.0
-
-    def options(self, is_mip: bool) -> dict:
-        # log_to_console, not output_flag: switching all output off moves
-        # some degenerate LPs to another of their optima
-        opts = {"log_to_console": False, "presolve": "on"}
-        if is_mip:
-            opts["mip_rel_gap"] = self.mip_rel_gap
-            opts["time_limit"] = self.time_limit_s
-        return opts
 
 
 DEFAULT_BACKEND = SolverBackend()
@@ -67,10 +61,6 @@ DEFAULT_BACKEND = SolverBackend()
 # HiGHS's default mip_feasibility_tolerance, which the backend leaves as it
 # is: its MIP solver takes a column this close to an integer as integral
 _INTEGER_TOL = 1e-6
-
-
-class TargetUnreachableError(RuntimeError):
-    """Raised when a cost minimization asks for more flexibility than exists."""
 
 
 def _run_highs(model: ModelInstance, backend: SolverBackend, relax: bool = False):
@@ -81,10 +71,14 @@ def _run_highs(model: ModelInstance, backend: SolverBackend, relax: bool = False
     HighsInfo, column values or None, seconds in run()); the values are read
     only when HiGHS holds a feasible solution.
     """
-    is_mip = model.n_binary > 0 and not relax
+    # log_to_console, not output_flag: switching all output off moves some
+    # degenerate LPs to another of their optima
+    options = {"log_to_console": False, "presolve": "on"}
+    if model.n_binary > 0 and not relax:
+        options.update(mip_rel_gap=backend.mip_rel_gap, time_limit=backend.time_limit_s)
     a = model.a_matrix.tocsc()
     h = highs._Highs()
-    for name, value in backend.options(is_mip).items():
+    for name, value in options.items():
         if h.setOptionValue(name, value) != highs.HighsStatus.kOk:
             raise ValueError(f"HiGHS rejected option {name}={value!r}")
     # the array form of passModel reads the numpy buffers in place; it reads
@@ -114,13 +108,13 @@ def solve(model: ModelInstance, backend: SolverBackend = DEFAULT_BACKEND) -> Sch
     feasibility tolerance is returned as the MILP optimum, with no nodes and
     gap 0.0; an infeasible one proves the MILP infeasible. Any other
     relaxation outcome runs the MILP with the time the relaxation left of
-    backend.time_limit_s, and the stats count both runs.
+    backend.time_limit_s, and the stats count both runs. An LP and a
+    relaxation have no time limit.
 
     Infeasible, unbounded, limit and error statuses are propagated on the
     returned solution; a limit keeps values only for a model with binaries
-    that has an incumbent. A cost minimization that is infeasible is
-    additionally marked target_unreachable (the flexibility problem itself
-    is always feasible, so infeasibility can only come from the target).
+    that has an incumbent. A cost minimization is infeasible only when its
+    target exceeds the flexibility optimum.
     """
     is_mip = model.n_binary > 0
     highs_status, info, values, seconds = _run_highs(model, backend, relax=is_mip)
@@ -147,7 +141,6 @@ def solve(model: ModelInstance, backend: SolverBackend = DEFAULT_BACKEND) -> Sch
         return ScheduleSolution(
             status=status,
             power_kw=None, flex_kw=None, sustained_kw=None, mean_flex_kw=None,
-            target_unreachable=(model.kind == "costmin" and status == "infeasible"),
             stats=stats,
         )
     return _decode(model, values, status, stats)
@@ -225,14 +218,3 @@ def _x_by_step(meta: dict, values: np.ndarray) -> dict:
     return {(jid, t): x[col + t - a] for jid, a, b, col in zip(
         meta["job_ids"], meta["win_a"].tolist(), meta["win_b"].tolist(), meta["x0"].tolist())
         for t in range(a, b + 1)}
-
-
-def require_optimal(sol: ScheduleSolution, context: str = "") -> ScheduleSolution:
-    """Raise on non-optimal solves; target shortfalls get the typed error."""
-    if sol.ok:
-        return sol
-    if sol.target_unreachable:
-        raise TargetUnreachableError(
-            f"flexibility target exceeds the attainable maximum {context}".strip()
-        )
-    raise RuntimeError(f"solve ended with status {sol.status} {context}".strip())

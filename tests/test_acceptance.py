@@ -42,6 +42,7 @@ from conftest import (
     random_instance,
     random_plan,
 )
+from test_problem import costmin_without
 
 DATA = Path(__file__).parent / "data"
 TIGHT = SolverBackend(mip_rel_gap=1e-9)
@@ -140,10 +141,9 @@ def test_criterion_04_tightening_validity():
         flex = solve(build_flexmax(jobs, spec, base, plan))
         assert flex.ok
         target = float(rng.uniform(0.0, 1.0)) * flex.mean_flex_kw
-        plain = solve(build_costmin(jobs, spec, ECON, base, plan, target,
-                                    tighten=False), TIGHT)
-        tightened = solve(build_costmin(jobs, spec, ECON, base, plan, target,
-                                        tighten=True), TIGHT)
+        plain = solve(costmin_without(jobs, spec, base, plan, target, cost_bound=False),
+                      TIGHT)
+        tightened = solve(build_costmin(jobs, spec, ECON, base, plan, target), TIGHT)
         assert plain.ok and tightened.ok
         bound = tightening_bound(ECON, spec, plan, target)
         assert plain.total_cost >= bound - 1e-9

@@ -1,9 +1,11 @@
+import contextlib
 import importlib
 import subprocess
 import sys
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -267,6 +269,22 @@ def test_campaign_worker_count_invariance():
     two = run_flexmax_campaign(jobs, spec, grid, services, [1.0, 0.5],
                                master_seed=5, n_workers=2)
     assert one.to_json() == two.to_json()
+
+
+def test_worker_pool_is_capped_at_the_horizon_count(monkeypatch):
+    recorded = []
+
+    def in_process_pool(max_workers):
+        """Records max_workers; the pool maps its tasks in this process."""
+        recorded.append(max_workers)
+        return contextlib.nullcontext(SimpleNamespace(map=map))
+
+    monkeypatch.setattr(campaign, "ProcessPoolExecutor", in_process_pool)
+    jobs, spec, grid, services = _two_horizons()
+    result = run_flexmax_campaign(jobs, spec, grid, services, [1.0], master_seed=5,
+                                  n_workers=8)
+    assert recorded == [2]
+    assert len(result.cell(0.25, 2920.0, 1.0).statuses) == 2
 
 
 def test_costmin_campaign_worker_count_invariance():

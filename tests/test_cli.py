@@ -5,6 +5,7 @@ import pytest
 
 from dcflex.campaign import derive_seed, sample_activations
 from dcflex.cli import cli_main
+from dcflex.config import load_config
 from dcflex.model import EconParams, TimeGrid
 from dcflex.scaling import scale_acof_dq
 
@@ -17,7 +18,6 @@ horizon_steps = 4
 [datacenter]
 total_resources = 2.0
 device_class = cpu_general
-max_delay_frac = 1.0
 
 [campaign]
 durations_hours = 0.25
@@ -55,6 +55,29 @@ def test_missing_file_is_reported(tmp_path, capsys):
                    "--out", str(tmp_path / "out.csv")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ini, message", [
+    ("[nonsense]\nkey = 1\n", "unknown config section [nonsense]"),
+    ("[grid]\nnonsense = 1\n", "unknown config key 'nonsense' in [grid]"),
+    # keys that changed no result: each cell sets its own delay, csf reads
+    # only A and R of the nominal economics, and price series are in USD
+    ("[datacenter]\nmax_delay_frac = 0.3\n",
+     "unknown config key 'max_delay_frac' in [datacenter]"),
+    ("[nominal]\nenergy_price = 0.1\n", "unknown config key 'energy_price' in [nominal]"),
+    ("[ingest]\ncurrency = GBP\n", "unknown config key 'currency' in [ingest]"),
+], ids=["section", "key", "max_delay_frac", "nominal_energy_price", "currency"])
+def test_unknown_config_input_is_rejected(tmp_path, capsys, ini, message):
+    config = tmp_path / "conf.ini"
+    config.write_text(ini)
+    with pytest.raises(ValueError) as err:
+        load_config(config)
+    assert str(err.value) == message
+    rc = cli_main(["--config", str(config), "synth", "--profile", "ai_like", "--days", "1",
+                   "--out", str(tmp_path / "trace.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_synth_and_preprocess(tmp_path):

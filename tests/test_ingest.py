@@ -163,10 +163,11 @@ def test_parse_cloud_pricing_rules(tmp_path):
         "p,GPU,G1,4,,,8.0,,2,4,,2000,harmonic speed\n"
         "p,CPU,C1,32,,,16.0,5000,,,,360,physical CPU power per vCPU\n"
         "p,GPU,G2,1,,,1.0,,,,,,missing speed is dropped\n"
+        "p,CPU\n"  # shorter than the model and count columns: dropped
     )
     table = parse_cloud_pricing(path)
     assert len(table) == 2
-    assert table.dropped == 1
+    assert table.dropped == 2
     gpu = table.of_type("gpu").options[0]
     assert gpu.unit_price == 2.0
     assert gpu.speed == pytest.approx(8.0 / 3.0, rel=1e-12)

@@ -145,26 +145,34 @@ def test_tiny_b_true_optimum_oracle(tiny_b):
     assert sol.mean_flex_kw == pytest.approx(oracle, abs=1e-7)
 
     cost = solve(build_costmin(jobs, spec, ECON, base, plan, sol.mean_flex_kw,
-                               dq=DqParams(True, 0.5), tighten=True,
+                               dq=DqParams(True, 0.5),
                                zero_delay_flex_kw=sol.mean_flex_kw), TIGHT)
     shifted_kwh = 0.25 * sol.mean_flex_kw
     assert cost.total_cost - cost.extra_energy_cost == pytest.approx(0.0, abs=1e-9)
     assert cost.extra_energy_cost / shifted_kwh == pytest.approx(0.05, abs=1e-7)
 
 
+def costmin_without(jobs, spec, base, plan, target, dq=DqParams(), cost_bound=True,
+                    end_floors=True) -> ModelInstance:
+    """The reference builder's cost model, with its cost_bound row or its
+    endfloor rows left out (build_costmin always has both)."""
+    return _as_instance("costmin", "min", _reference_costmin(
+        jobs, spec, ECON, base, plan, target, dq, cost_bound, None, end_floors))
+
+
 def test_tighten_constraint_preserves_optimum_on_fixtures(tiny_a, tiny_b):
     jobs, spec, base, plan = tiny_a
-    with_bound = solve(build_costmin(jobs, spec, ECON, base, plan, 2.0, tighten=True), TIGHT)
-    without = solve(build_costmin(jobs, spec, ECON, base, plan, 2.0, tighten=False), TIGHT)
+    with_bound = solve(build_costmin(jobs, spec, ECON, base, plan, 2.0), TIGHT)
+    without = solve(costmin_without(jobs, spec, base, plan, 2.0, cost_bound=False), TIGHT)
     assert abs(with_bound.total_cost - without.total_cost) < 1e-9
 
     jobs, spec, base, plan = tiny_b
     dq = DqParams(True, 0.5)
     s_max = solve(build_flexmax(jobs, spec, base, plan, dq)).mean_flex_kw
     with_bound = solve(build_costmin(jobs, spec, ECON, base, plan, s_max, dq=dq,
-                                     tighten=True, zero_delay_flex_kw=s_max), TIGHT)
-    without = solve(build_costmin(jobs, spec, ECON, base, plan, s_max, dq=dq,
-                                  tighten=False), TIGHT)
+                                     zero_delay_flex_kw=s_max), TIGHT)
+    without = solve(costmin_without(jobs, spec, base, plan, s_max, dq, cost_bound=False),
+                    TIGHT)
     assert abs(with_bound.total_cost - without.total_cost) < 1e-9
 
 
@@ -178,10 +186,10 @@ def test_strengthening_rows_do_not_change_optimum():
         if not flex.ok or flex.mean_flex_kw < 1e-6:
             continue
         target = float(rng.uniform(0.2, 1.0)) * flex.mean_flex_kw
-        plain = solve(build_costmin(jobs, spec, ECON, base, plan, target,
-                                    strengthen=False, tighten=False), TIGHT)
-        strong = solve(build_costmin(jobs, spec, ECON, base, plan, target,
-                                     strengthen=True, tighten=False), TIGHT)
+        plain = solve(costmin_without(jobs, spec, base, plan, target, cost_bound=False,
+                                      end_floors=False), TIGHT)
+        strong = solve(costmin_without(jobs, spec, base, plan, target, cost_bound=False),
+                       TIGHT)
         assert plain.ok and strong.ok
         assert strong.total_cost == pytest.approx(plain.total_cost, abs=1e-7)
         checked += 1
@@ -504,7 +512,7 @@ def test_array_assembly_matches_reference_builder():
     """build_flexmax/build_costmin equal the row-by-row builder byte for byte,
     once the preemption counters of the budget-free jobs are deleted from it."""
     clipped = checked = budgeted = free = 0
-    for jobs, spec, base, plan, dq, target, tighten, strengthen in _reference_cases():
+    for jobs, spec, base, plan, dq, target, *_ in _reference_cases():
         try:
             ref = _reference_flexmax(jobs, spec, base, plan, dq)
         except ModelBuildError as err:
@@ -515,9 +523,9 @@ def test_array_assembly_matches_reference_builder():
         unbudgeted = _budget_free(ref, jobs, dq)
         _assert_same_model(build_flexmax(jobs, spec, base, plan, dq),
                            _without_counters(ref, unbudgeted))
-        args = (jobs, spec, ECON, base, plan, target, dq, tighten, 0.25, strengthen)
-        _assert_same_model(build_costmin(*args),
-                           _without_counters(_reference_costmin(*args), unbudgeted))
+        ref = _reference_costmin(jobs, spec, ECON, base, plan, target, dq, True, 0.25, True)
+        _assert_same_model(build_costmin(jobs, spec, ECON, base, plan, target, dq, 0.25),
+                           _without_counters(ref, unbudgeted))
         steps = plan.grid.steps
         clipped += any(int(a) + round_half_away((1.0 + spec.max_delay_frac) * int(d)) - 1
                        > steps for a, d in zip(jobs.submit_step, jobs.compute_steps))
@@ -529,7 +537,8 @@ def test_array_assembly_matches_reference_builder():
 
 
 def test_budget_free_deletion_keeps_the_optima():
-    """Reduced and reference models share the LP optimum and the cost-MILP optimum."""
+    """Reduced and reference models share the LP optimum and the cost-MILP optimum,
+    also where the reference leaves out the cost_bound row or the endfloor rows."""
     compared = 0
     for jobs, spec, base, plan, dq, target, tighten, strengthen in _reference_cases():
         try:
@@ -541,10 +550,13 @@ def test_budget_free_deletion_keeps_the_optima():
         assert lp.ok and lp_ref.ok
         assert lp.mean_flex_kw == pytest.approx(lp_ref.mean_flex_kw, abs=1e-9)
         # the case's target in [0, 2] read as a share of the optimum in [0, 1]
-        args = (jobs, spec, ECON, base, plan, target / 2.0 * lp.mean_flex_kw, dq, tighten,
-                0.25, strengthen)
-        cost = solve(build_costmin(*args))
-        cost_ref = solve(_as_instance("costmin", "min", _reference_costmin(*args)))
+        target = target / 2.0 * lp.mean_flex_kw
+        # the bound row is valid only at the true delay-free optimum S_a
+        s_zero = solve(build_flexmax(jobs, spec.with_max_delay(0.0), base, plan, dq)
+                       ).mean_flex_kw if dq.enabled else None
+        cost = solve(build_costmin(jobs, spec, ECON, base, plan, target, dq, s_zero))
+        cost_ref = solve(_as_instance("costmin", "min", _reference_costmin(
+            jobs, spec, ECON, base, plan, target, dq, tighten, s_zero, strengthen)))
         assert cost.status == cost_ref.status
         if cost.ok:
             within = max(cost.stats.primal_bound - cost.stats.dual_bound,

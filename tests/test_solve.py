@@ -12,10 +12,8 @@ from dcflex.problem import DqParams, build_costmin, build_flexmax
 from dcflex.solve import (
     _INTEGER_TOL,
     DEFAULT_BACKEND,
-    TargetUnreachableError,
     _decode,
     _run_highs,
-    require_optimal,
     solve,
 )
 
@@ -72,9 +70,6 @@ def test_unreachable_target(tiny_a):
     jobs, spec, base, plan = tiny_a
     sol = solve(build_costmin(jobs, spec, ECON, base, plan, 3.0))
     assert sol.status == "infeasible"
-    assert sol.target_unreachable
-    with pytest.raises(TargetUnreachableError):
-        require_optimal(sol)
 
 
 def test_solution_respects_model_invariants():
@@ -203,7 +198,7 @@ def test_direct_highs_matches_milp_bit_for_bit():
     # that go on to branch-and-bound
     assert ("costmin", True, "optimal", True) in seen
     assert ("costmin", True, "optimal", False) in seen
-    assert seen[-1] == ("costmin", True, "infeasible", False) and sol.target_unreachable
+    assert seen[-1] == ("costmin", True, "infeasible", False)
 
 
 def test_solve_agrees_with_milp_on_status_and_objective():
@@ -302,7 +297,7 @@ def test_unreachable_target_is_decided_by_the_relaxation(monkeypatch, tiny_a):
     runs = _count_runs(monkeypatch)
     sol = solve(build_costmin(jobs, spec, ECON, base, plan, 3.0))
     assert [relax for relax, _, _ in runs] == [True]
-    assert sol.status == "infeasible" and sol.target_unreachable
+    assert sol.status == "infeasible"
     assert sol.stats.nodes == 0
 
 
@@ -347,7 +342,6 @@ def test_highs_status_by_name(monkeypatch, tiny_a, name):
         kept = expected == "optimal" or (expected == "limit" and kind == "costmin")
         assert (sol.power_kw is not None) == kept
         assert (sol.total_cost is not None) == (kept and kind == "costmin")
-        assert sol.target_unreachable == (kind == "costmin" and expected == "infeasible")
 
 
 def test_limit_without_incumbent_has_no_values(monkeypatch, tiny_a):
