@@ -54,6 +54,7 @@ from .campaign import (
     CellResult,
     derive_seed,
     horizon_count,
+    run_campaign,
     run_costmin_campaign,
     run_flexmax_campaign,
     sample_activations,

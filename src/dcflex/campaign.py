@@ -9,8 +9,10 @@ One engine runs both kinds of campaign. Per horizon, service and delay it
 solves the flexibility LP (0 kW unsolved at zero delay without quota), then
 visits each flex fraction: fraction None is the flexibility cell (the LP
 optimum itself), and a number is the cost cell at that share of the
-optimum. A flexibility campaign is the engine run with fractions (None,).
-A horizon that raises is recorded as `error` on each of its cells.
+optimum. A run has cost cells iff some fraction is a number, and that
+alone decides its kind, its econ echo and whether the quota model's
+zero-delay LP is solved. A horizon that raises is recorded as `error` on
+each of its cells.
 
 Determinism: every random draw is seeded from
 hash(master_seed, horizon_index, cell_key), so results are bit-identical
@@ -135,7 +137,7 @@ class CellResult:
 
 @dataclass
 class CampaignResult:
-    kind: str  # "flexmax" | "costmin"
+    kind: str  # "costmin" iff some cell has a fraction, else "flexmax"
     config: dict
     cells: dict  # CellKey -> CellResult
 
@@ -251,6 +253,8 @@ def _horizon_records(payload) -> list:
      backend, clusters_per_day, aggregate) = payload
     part, base = _prepare_horizon(table, spec, grid, h, master_seed,
                                   clusters_per_day, aggregate)
+    # the cost model's bound under quota needs the zero-delay optimum
+    zero_delay_lp = dq.enabled and any(frac is not None for frac in fractions)
     records = []
     for svc in services:
         for delay in delays:
@@ -264,7 +268,7 @@ def _horizon_records(payload) -> list:
                 lp = solve(build_flexmax(part, spec_d, base, plan, dq), backend)
                 status, s_max = lp.status, (lp.mean_flex_kw if lp.ok else None)
             s_zero_delay = None
-            if econ is not None and dq.enabled and s_max is not None:
+            if zero_delay_lp and s_max is not None:
                 if delay == 0.0:  # the cell's own LP is the zero-delay LP
                     s_zero_delay = s_max
                 else:
@@ -306,14 +310,41 @@ def _mean(values):
     return float(np.mean(values)) if values else None
 
 
-def _run_campaign(table, spec, econ, grid, services, delays, fractions, dq, master_seed,
-                  backend, clusters_per_day, aggregate, n_workers) -> CampaignResult:
-    """Solve every horizon and average its records into one cell per key.
+def run_campaign(
+    table: JobTable,
+    spec: DataCenterSpec,
+    econ: EconParams | None,
+    grid: TimeGrid,
+    services: Sequence[ServiceSpec],
+    delays: Sequence[float],
+    flex_fractions: Sequence[float | None],
+    dq: DqParams = NO_DQ,
+    master_seed: int = 0,
+    backend: SolverBackend = DEFAULT_BACKEND,
+    clusters_per_day: int = 100,
+    aggregate: bool = True,
+    n_workers: int = 1,
+) -> CampaignResult:
+    """Flexibility and cost cells over services, delay limits and fractions.
 
-    A flexibility campaign is the run with fractions (None,) and no econ.
+    Every whole horizon window of the dataset is solved independently and
+    its records are averaged into one cell per key; per-horizon
+    infeasibility, or an exception in a horizon, is recorded on the cell
+    instead of aborting the campaign. Per horizon and cell the flexibility
+    LP is solved once for all fractions. Fraction None is the flexibility
+    cell; a number targets that share of the optimum in a cost minimization
+    tightened by its valid lower bound. ACoF is total cost divided by
+    shifted energy, split into the computing-price part (APCoF) and the
+    extra-energy part (AECoF, nonzero only under dynamic quota); the
+    decomposition is exact by construction. econ is read only when some
+    fraction is a number.
     """
     services = tuple(services)
     delays = tuple(float(d) for d in delays)
+    fractions = tuple(None if f is None else float(f) for f in flex_fractions)
+    costed = any(frac is not None for frac in fractions)
+    if costed and econ is None:
+        raise ValueError("cost cells need EconParams")
     n_h = horizon_count(table, grid)
     payloads = [
         (h, table, spec, grid, services, delays, fractions, econ, dq, master_seed,
@@ -353,7 +384,7 @@ def _run_campaign(table, spec, econ, grid, services, delays, fractions, dq, mast
                     gaps=() if frac is None else tuple(r["gap"] for r in recs),
                 )
 
-    kind = "flexmax" if econ is None else "costmin"
+    kind = "costmin" if costed else "flexmax"
     config = {
         "kind": kind,
         "master_seed": master_seed,
@@ -373,7 +404,7 @@ def _run_campaign(table, spec, econ, grid, services, delays, fractions, dq, mast
         "aggregate": aggregate,
         "horizons": n_h,
     }
-    if econ is not None:
+    if costed:
         config.update({"flex_fractions": list(fractions), "econ": asdict(econ),
                        "tighten": True})
     return CampaignResult(kind=kind, config=config, cells=cells)
@@ -392,41 +423,10 @@ def run_flexmax_campaign(
     aggregate: bool = True,
     n_workers: int = 1,
 ) -> CampaignResult:
-    """Maximum-flexibility grid over services and delay limits.
-
-    Every whole horizon window of the dataset is solved independently and
-    per-horizon optima are averaged; per-horizon infeasibility, or an
-    exception in a horizon, is recorded on the cell instead of aborting the
-    campaign.
-    """
-    return _run_campaign(table, spec, None, grid, services, delays, (None,), dq,
-                         master_seed, backend, clusters_per_day, aggregate, n_workers)
+    """The flexibility cells alone: run_campaign at the one fraction None."""
+    return run_campaign(table, spec, None, grid, services, delays, (None,), dq,
+                        master_seed, backend, clusters_per_day, aggregate, n_workers)
 
 
-def run_costmin_campaign(
-    table: JobTable,
-    spec: DataCenterSpec,
-    econ: EconParams,
-    grid: TimeGrid,
-    services: Sequence[ServiceSpec],
-    delays: Sequence[float],
-    flex_fractions: Sequence[float],
-    dq: DqParams = NO_DQ,
-    master_seed: int = 0,
-    backend: SolverBackend = DEFAULT_BACKEND,
-    clusters_per_day: int = 100,
-    aggregate: bool = True,
-    n_workers: int = 1,
-) -> CampaignResult:
-    """Average-cost-of-flexibility grid at fractions of the maximum.
-
-    Per horizon and cell the flexibility optimum is solved first; each
-    fraction then targets that share of the optimum in a cost minimization
-    tightened by its valid lower bound. ACoF is total cost divided by
-    shifted energy, split into the computing-price part (APCoF) and the
-    extra-energy part (AECoF, nonzero only under dynamic quota); the
-    decomposition is exact by construction.
-    """
-    fractions = tuple(float(f) for f in flex_fractions)
-    return _run_campaign(table, spec, econ, grid, services, delays, fractions, dq,
-                         master_seed, backend, clusters_per_day, aggregate, n_workers)
+#: The cost cells are run_campaign at numeric fractions.
+run_costmin_campaign = run_campaign

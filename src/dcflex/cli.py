@@ -1,7 +1,9 @@
 """Command-line entry point.
 
-Subcommands: ingest, preprocess, flexmax, costmin, csf, scale, profit,
-report, synth. Every run resolves one configuration through
+Subcommands: ingest, preprocess, campaign, csf, scale, profit, report,
+synth. One campaign run writes the flexibility cells (fraction ``none``)
+and the cost cells (numeric fractions) of its grid, solving each
+flexibility LP once. Every run resolves one configuration through
 ``config.load_config``: defaults, an optional --config INI file, DCFLEX_*
 environment overrides and the campaign flags, whose argparse dests are
 their ``[campaign]`` keys. Commands read only that configuration, and it
@@ -18,13 +20,9 @@ import sys
 from pathlib import Path
 
 from . import config as cfg
-from .campaign import (
-    CampaignResult,
-    run_costmin_campaign,
-    run_flexmax_campaign,
-    service_grid,
-)
+from .campaign import CampaignResult, run_campaign, service_grid
 from .ingest import (
+    PRICE_SERIES_COLUMNS,
     IngestError,
     parse_cloud_pricing,
     parse_job_trace,
@@ -114,7 +112,7 @@ def _cmd_ingest(args, config):
             conversion_rate=config["ingest"]["currency_rate"],
         )
         with Path(args.out).open("w") as handle:
-            handle.write("timestamp_iso8601,price\n")
+            handle.write(",".join(PRICE_SERIES_COLUMNS) + "\n")
             for stamp, price in zip(series.timestamps, series.prices):
                 handle.write(f"{stamp.isoformat()},{float(price)!r}\n")
         print(f"{len(series)} samples -> {args.out}")
@@ -136,11 +134,11 @@ def _cmd_preprocess(args, config):
 def _cmd_campaign(args, config):
     table, grid = _prepare_jobs(args, config)
     campaign = config["campaign"]
-    spec = cfg.spec_from_config(config)
     services = service_grid(cfg.parse_float_list(campaign["durations_hours"]),
                             cfg.parse_float_list(campaign["frequencies"]), grid)
-    delays = cfg.parse_float_list(campaign["delays"])
-    options = dict(
+    result = run_campaign(
+        table, cfg.spec_from_config(config), cfg.econ_from_config(config), grid, services,
+        cfg.parse_float_list(campaign["delays"]), cfg.parse_fractions(campaign["fractions"]),
         dq=cfg.dq_from_config(config),
         master_seed=campaign["master_seed"],
         backend=cfg.backend_from_config(config),
@@ -148,30 +146,19 @@ def _cmd_campaign(args, config):
         aggregate=campaign["aggregate"],
         n_workers=cfg.resolve_workers(campaign["workers"]),
     )
-    if args.command == "costmin":
-        fractions = cfg.parse_float_list(campaign["fractions"])
-        result = run_costmin_campaign(table, spec, cfg.econ_from_config(config), grid,
-                                      services, delays, fractions, **options)
-    else:
-        result = run_flexmax_campaign(table, spec, grid, services, delays, **options)
     result.config["toolkit"] = config
     result.write_json(args.out)
-    print(f"{args.command} grid with {len(result.cells)} cells -> {args.out}")
+    print(f"campaign grid with {len(result.cells)} cells -> {args.out}")
     return 0
 
 
 def _cmd_csf(args, config):
-    if args.action != "estimate":
-        print(f"error: unknown csf action {args.action!r}", file=sys.stderr)
-        return 2
     options = parse_cloud_pricing(args.pricing)
     if args.device != "both":
         options = options.of_type(args.device)
-    nominal = config["nominal"]
-    samples = estimate_csf_samples(
-        options, EconParams(price_reduction_coeff=nominal["price_reduction_coeff"],
-                            hourly_unit_price=nominal["hourly_unit_price"]),
-        nominal["unit_power_kw"])
+    # relative to the economics and unit power a campaign is solved at
+    samples = estimate_csf_samples(options, cfg.econ_from_config(config),
+                                   config["datacenter"]["unit_power_kw"])
     write_csf_samples(samples, args.out)
     _echo_config(config, args.out)
     percentiles = cfg.parse_float_list(args.percentiles)
@@ -282,19 +269,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_preprocess)
 
-    for name in ("flexmax", "costmin"):
-        p = sub.add_parser(name, help=f"run the {name} campaign")
-        p.add_argument("--trace", required=True)
-        p.add_argument("--days", type=int)
-        p.add_argument("--duration", "--durations", dest="durations_hours")
-        p.add_argument("--freq", "--freqs", dest="frequencies")
-        p.add_argument("--max-delay", "--delays", dest="delays")
-        if name == "costmin":
-            p.add_argument("--fractions")
-        p.add_argument("--seed", type=int, dest="master_seed")
-        p.add_argument("--workers", type=int)
-        p.add_argument("--out", required=True)
-        p.set_defaults(func=_cmd_campaign)
+    p = sub.add_parser("campaign", help="solve the flexibility and cost cells of a grid")
+    p.add_argument("--trace", required=True)
+    p.add_argument("--days", type=int)
+    p.add_argument("--duration", "--durations", dest="durations_hours")
+    p.add_argument("--freq", "--freqs", dest="frequencies")
+    p.add_argument("--max-delay", "--delays", dest="delays")
+    p.add_argument("--fractions", help="comma list; none is the flexibility cell")
+    p.add_argument("--seed", type=int, dest="master_seed")
+    p.add_argument("--workers", type=int)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_campaign)
 
     p = sub.add_parser("csf", help="estimate cost scaling factors from pricing data")
     p.add_argument("action", choices=("estimate",))

@@ -37,16 +37,11 @@ DEFAULTS = {
         "hourly_unit_price": 1.0,
         "energy_price": 0.05,
     },
-    "nominal": {
-        "price_reduction_coeff": 0.5,
-        "hourly_unit_price": 1.0,
-        "unit_power_kw": 1.0,
-    },
     "campaign": {
         "durations_hours": "0.25,0.5,1,2,4",
         "frequencies": "365,730,1460,2920",
         "delays": "0.1,0.2,0.5",
-        "fractions": "0.25,0.5,0.75,1.0",
+        "fractions": "none,0.25,0.5,0.75,1.0",  # none: the flexibility cell
         "clusters_per_day": 100,
         "aggregate": True,
         "master_seed": 0,
@@ -113,6 +108,12 @@ def parse_float_list(text) -> list:
     if isinstance(text, (list, tuple)):
         return [float(v) for v in text]
     return [float(part) for part in str(text).split(",") if part.strip()]
+
+
+def parse_fractions(text) -> list:
+    """Flex fractions from a comma list; `none` is the flexibility cell."""
+    return [None if part.strip().lower() == "none" else float(part)
+            for part in str(text).split(",") if part.strip()]
 
 
 def grid_from_config(config: dict) -> TimeGrid:

@@ -26,6 +26,9 @@ from .model import TimeGrid
 #: Job-trace column names; a trace file's header must contain each of them.
 JOB_TRACE_COLUMNS = ("id", "submit_unix_s", "start_unix_s", "end_unix_s", "resources")
 
+#: Price series header, in file order.
+PRICE_SERIES_COLUMNS = ("timestamp_iso8601", "price")
+
 #: Cloud pricing table columns, in file order. Headers are matched after
 #: normalization so cosmetic differences in spacing/units do not matter.
 CLOUD_PRICING_COLUMNS = (
@@ -365,12 +368,11 @@ def parse_cloud_pricing(path) -> CloudOptionTable:
 
 @dataclass
 class PriceSeries:
-    """A power-system service price series in money per kWh."""
+    """A power-system service price series in USD per kWh."""
 
     market: str
     timestamps: tuple
     prices: np.ndarray
-    currency: str = "USD"
 
     def __post_init__(self):
         self.timestamps = tuple(self.timestamps)
@@ -388,12 +390,12 @@ def parse_price_series(
     path,
     market: str | None = None,
     conversion_rate: float = 1.0,
-    currency: str = "USD",
 ) -> PriceSeries:
     """Parse a (timestamp, price) CSV into an ascending PriceSeries.
 
-    conversion_rate multiplies every price (e.g. 1.267 USD/GBP to convert a
-    GBP series to USD); it comes from configuration, never from code.
+    The header must be PRICE_SERIES_COLUMNS. conversion_rate multiplies
+    every price (e.g. 1.267 USD/GBP to convert a GBP series to USD); it
+    comes from configuration, never from code.
     """
     path = Path(path)
     market = market if market is not None else path.stem
@@ -408,6 +410,9 @@ def parse_price_series(
             header = next(reader)
         except StopIteration:
             raise IngestError(f"price series {path} is empty") from None
+        if [cell.strip() for cell in header] != list(PRICE_SERIES_COLUMNS):
+            raise IngestError(f"price series {path}: header {header!r} is not "
+                              f"{','.join(PRICE_SERIES_COLUMNS)}")
         for row in reader:
             if not row or not any(cell.strip() for cell in row):
                 continue
@@ -430,7 +435,6 @@ def parse_price_series(
         market=market,
         timestamps=[stamps[i] for i in order],
         prices=[prices[i] for i in order],
-        currency=currency,
     )
 
 

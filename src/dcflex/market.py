@@ -19,9 +19,9 @@ from .scaling import percentile
 DEFAULT_PERCENTILES = (25.0, 50.0, 75.0, 90.0, 99.0, 99.9, 99.95, 99.99, 100.0)
 
 
-def price_percentile_table(series_list, percentiles: Sequence[float] = DEFAULT_PERCENTILES,
-                           currency: str = "USD") -> dict:
-    """Percentile values per market, all series in one currency.
+def price_percentile_table(series_list,
+                           percentiles: Sequence[float] = DEFAULT_PERCENTILES) -> dict:
+    """Percentile values per market.
 
     Accepts a single PriceSeries or a list. Returns
     ``{market: {percentile: value}}``.
@@ -32,29 +32,26 @@ def price_percentile_table(series_list, percentiles: Sequence[float] = DEFAULT_P
         raise ValueError("no price series given")
     table = {}
     for series in series_list:
-        if series.currency != currency:
-            raise ValueError(
-                f"price series {series.market!r} is in {series.currency}, expected {currency}"
-            )
         table[series.market] = {float(p): percentile(series.prices, p)
                                 for p in percentiles}
     return table
 
 
 def profitability_report(acof_grid: CampaignResult, prices: dict) -> dict:
-    """Minimum price percentile at which each grid cell turns profitable.
+    """Minimum price percentile at which each cost cell turns profitable.
 
-    prices is the output of price_percentile_table. Degenerate cells
+    prices is the output of price_percentile_table. Flexibility cells
+    (fraction None) carry no cost and are skipped. Degenerate cells
     (zero-cost, zero-energy) are flagged and excluded from profitability
     claims. Each cell's breakeven_percentile maps a market to its
     break-even percentile, or None where no percentile covers the cost.
     """
-    if acof_grid.kind != "costmin":
+    cost_keys = [k for k in acof_grid.cells if k.flex_fraction is not None]
+    if not cost_keys:
         raise ValueError("profitability needs a cost campaign grid")
     cells = []
-    for key in sorted(acof_grid.cells, key=lambda k: (
-            k.duration_hours, k.annual_frequency, k.max_delay_frac,
-            -1.0 if k.flex_fraction is None else k.flex_fraction)):
+    for key in sorted(cost_keys, key=lambda k: (
+            k.duration_hours, k.annual_frequency, k.max_delay_frac, k.flex_fraction)):
         cell = acof_grid.cells[key]
         breakeven = {}
         if cell.acof is not None and not cell.degenerate:

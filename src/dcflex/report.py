@@ -1,9 +1,10 @@
 """Campaign grid exports: long-form CSV plus standalone SVG heatmaps.
 
 SVGs are emitted by hand (rectangles and text, no plotting dependency).
-Each heatmap panel covers one delay limit (and one flexibility fraction
-for cost grids) with duration rows, frequency columns, a linear
-min-to-max color scale and a min/max/mean annotation.
+Each heatmap panel covers one (delay limit, flexibility fraction) pair of
+the grid with duration rows, frequency columns, a linear min-to-max color
+scale and a min/max/mean annotation. Flexibility cells (fraction None)
+carry no cost, so a cost metric gets panels only for the cost cells.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ MARGIN_TOP = 78
 MARGIN_BOTTOM = 46
 MARGIN_RIGHT = 24
 
-_METRICS = ("mean_flex_kw", "norm_flex", "acof", "apcof", "aecof")
+_COST_METRICS = ("acof", "apcof", "aecof")
+_METRICS = ("mean_flex_kw", "norm_flex") + _COST_METRICS
 
 
 def _color(frac: float) -> str:
@@ -101,14 +103,17 @@ def _panel_svg(title: str, durations, frequencies, values: dict) -> str:
 
 
 def heatmap_export(grid: CampaignResult, metric: str, out_prefix) -> list:
-    """Write the grid CSV and one SVG heatmap per delay (and fraction).
+    """Write the grid CSV and one SVG heatmap per (delay, fraction) panel.
 
     Returns the list of written paths. Unknown metrics raise ValueError.
     """
     if metric not in _METRICS:
         raise ValueError(f"unknown metric {metric!r}; choose one of {_METRICS}")
-    if not grid.cells:
-        raise ValueError("empty campaign grid")
+    panels = sorted({(k.max_delay_frac, k.flex_fraction) for k in grid.cells
+                     if k.flex_fraction is not None or metric not in _COST_METRICS},
+                    key=lambda p: (p[0], -1.0 if p[1] is None else p[1]))
+    if not panels:
+        raise ValueError(f"nothing to draw: the grid is empty or has no cell with {metric}")
     out_prefix = Path(out_prefix)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
     written = []
@@ -117,13 +122,8 @@ def heatmap_export(grid: CampaignResult, metric: str, out_prefix) -> list:
     grid.write_csv(csv_path)
     written.append(csv_path)
 
-    keys = list(grid.cells)
-    durations = sorted({k.duration_hours for k in keys})
-    frequencies = sorted({k.annual_frequency for k in keys})
-    delays = sorted({k.max_delay_frac for k in keys})
-    fractions = sorted({k.flex_fraction for k in keys if k.flex_fraction is not None})
-    panels = [(d, f) for d in delays for f in fractions] if fractions \
-        else [(d, None) for d in delays]
+    durations = sorted({k.duration_hours for k in grid.cells})
+    frequencies = sorted({k.annual_frequency for k in grid.cells})
 
     for delay, frac in panels:
         values = {}

@@ -15,6 +15,7 @@ from dcflex.campaign import (
     CampaignResult,
     derive_seed,
     horizon_count,
+    run_campaign,
     run_costmin_campaign,
     run_flexmax_campaign,
     sample_activations,
@@ -372,6 +373,36 @@ def test_zero_delay_cells_without_quota_skip_the_lp(monkeypatch):
     run_flexmax_campaign(jobs, spec, grid, services, [0.0, 0.5], dq=DqParams(True, 0.5),
                          master_seed=5)
     assert counts["build_flexmax"] == counts["_run_highs"] == 2 * horizons
+
+
+def test_mixed_fractions_give_the_pair_of_campaigns_with_fewer_lps(monkeypatch):
+    jobs, spec, grid, services = _two_horizons()
+    dq = DqParams(True, 0.5)
+    pairs = 2 * len(services)  # (horizon, service) pairs, one 0.5 LP each
+
+    counts = _count_layer_calls(monkeypatch)
+    both = run_campaign(jobs, spec, ECON, grid, services, [0.5], [None, 1.0], dq=dq,
+                        master_seed=5)
+    # one flexibility LP and one zero-delay LP per pair, shared by both cells
+    assert counts["build_flexmax"] == 2 * pairs
+    counts.clear()
+    flex = run_flexmax_campaign(jobs, spec, grid, services, [0.5], dq=dq, master_seed=5)
+    cost = run_costmin_campaign(jobs, spec, ECON, grid, services, [0.5], [1.0], dq=dq,
+                                master_seed=5)
+    assert counts["build_flexmax"] == 3 * pairs
+    assert both.kind == cost.kind == "costmin"
+    assert both.to_json_dict()["cells"] == {**flex.to_json_dict()["cells"],
+                                            **cost.to_json_dict()["cells"]}
+
+    # a run without cost cells is a flexibility run whatever econ it is
+    # given: no zero-delay LP, no econ echo
+    counts.clear()
+    econ_given = run_campaign(jobs, spec, ECON, grid, services, [0.5], [None], dq=dq,
+                              master_seed=5)
+    assert counts["build_flexmax"] == pairs
+    assert econ_given.to_json() == flex.to_json()
+    with pytest.raises(ValueError, match="EconParams"):
+        run_campaign(jobs, spec, None, grid, services, [0.5], [None, 1.0])
 
 
 def test_bench_output_checks_accept_campaign_results():

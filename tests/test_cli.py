@@ -8,6 +8,7 @@ from dcflex.cli import cli_main
 from dcflex.config import load_config
 from dcflex.model import EconParams, TimeGrid
 from dcflex.scaling import scale_acof_dq
+from test_campaign import _count_layer_calls
 
 DATA = Path(__file__).parent / "data"
 
@@ -61,10 +62,10 @@ def test_missing_file_is_reported(tmp_path, capsys):
     ("[nonsense]\nkey = 1\n", "unknown config section [nonsense]"),
     ("[grid]\nnonsense = 1\n", "unknown config key 'nonsense' in [grid]"),
     # keys that changed no result: each cell sets its own delay, csf reads
-    # only A and R of the nominal economics, and price series are in USD
+    # [econ] and [datacenter], and price series are in USD
     ("[datacenter]\nmax_delay_frac = 0.3\n",
      "unknown config key 'max_delay_frac' in [datacenter]"),
-    ("[nominal]\nenergy_price = 0.1\n", "unknown config key 'energy_price' in [nominal]"),
+    ("[nominal]\nenergy_price = 0.1\n", "unknown config section [nominal]"),
     ("[ingest]\ncurrency = GBP\n", "unknown config key 'currency' in [ingest]"),
 ], ids=["section", "key", "max_delay_frac", "nominal_energy_price", "currency"])
 def test_unknown_config_input_is_rejected(tmp_path, capsys, ini, message):
@@ -94,7 +95,7 @@ def test_synth_and_preprocess(tmp_path):
     assert header == "id,submit_step,complete_step,compute_steps,resources"
 
 
-def test_flexmax_costmin_scale_report_profit(tmp_path):
+def test_campaign_scale_report_profit(tmp_path):
     trace = tmp_path / "t.csv"
     write_tiny_trace(trace)
     config = tmp_path / "conf.ini"
@@ -102,8 +103,8 @@ def test_flexmax_costmin_scale_report_profit(tmp_path):
     seed = seed_with_window_at_one(1.0)
 
     grid_json = tmp_path / "flex.json"
-    rc = cli_main(["--config", str(config), "flexmax", "--trace", str(trace),
-                   "--seed", str(seed), "--out", str(grid_json)])
+    rc = cli_main(["--config", str(config), "campaign", "--trace", str(trace),
+                   "--fractions", "none", "--seed", str(seed), "--out", str(grid_json)])
     assert rc == 0
     payload = json.loads(grid_json.read_text())
     assert payload["kind"] == "flexmax"
@@ -113,7 +114,7 @@ def test_flexmax_costmin_scale_report_profit(tmp_path):
     assert cell["norm_flex"] == pytest.approx(1.0, abs=1e-6)
 
     cost_json = tmp_path / "cost.json"
-    rc = cli_main(["--config", str(config), "costmin", "--trace", str(trace),
+    rc = cli_main(["--config", str(config), "campaign", "--trace", str(trace),
                    "--seed", str(seed), "--out", str(cost_json)])
     assert rc == 0
     cost_payload = json.loads(cost_json.read_text())
@@ -161,6 +162,27 @@ def test_flexmax_costmin_scale_report_profit(tmp_path):
     assert "resolved_config" in report
 
 
+def test_one_campaign_run_writes_both_grids_and_solves_each_lp_once(tmp_path, monkeypatch):
+    trace = tmp_path / "t.csv"
+    write_tiny_trace(trace)
+    config = tmp_path / "conf.ini"
+    config.write_text(TINY_CONFIG)
+    cells, lps = {}, {}
+    for fractions in ("none,1.0", "none", "1.0"):
+        out = tmp_path / f"{fractions}.json"
+        counts = _count_layer_calls(monkeypatch)
+        rc = cli_main(["--config", str(config), "campaign", "--trace", str(trace),
+                       "--fractions", fractions, "--seed", str(seed_with_window_at_one(1.0)),
+                       "--out", str(out)])
+        monkeypatch.undo()
+        assert rc == 0
+        cells[fractions] = json.loads(out.read_text())["cells"]
+        lps[fractions] = counts["build_flexmax"]
+    assert cells["none,1.0"] == {**cells["none"], **cells["1.0"]}
+    assert len(cells["none,1.0"]) == 2
+    assert lps == {"none,1.0": 1, "none": 1, "1.0": 1}
+
+
 def test_csf_estimate(tmp_path, capsys):
     out = tmp_path / "samples.csv"
     summary = tmp_path / "summary.json"
@@ -196,8 +218,8 @@ def test_env_override(tmp_path, monkeypatch):
     config = tmp_path / "conf.ini"
     config.write_text(TINY_CONFIG)
     grid_json = tmp_path / "flex.json"
-    rc = cli_main(["--config", str(config), "flexmax", "--trace", str(trace),
-                   "--out", str(grid_json)])
+    rc = cli_main(["--config", str(config), "campaign", "--trace", str(trace),
+                   "--fractions", "none", "--out", str(grid_json)])
     assert rc == 0
     payload = json.loads(grid_json.read_text())
     assert payload["config"]["master_seed"] == 99
@@ -210,7 +232,7 @@ def test_scale_rejects_a_grid_solved_at_zero_energy_price(tmp_path, capsys):
     config = tmp_path / "conf.ini"
     config.write_text(TINY_CONFIG + "\n[econ]\nenergy_price = 0.0\n")
     cost_json = tmp_path / "cost.json"
-    rc = cli_main(["--config", str(config), "costmin", "--trace", str(trace),
+    rc = cli_main(["--config", str(config), "campaign", "--trace", str(trace),
                    "--seed", str(seed_with_window_at_one(1.0)), "--out", str(cost_json)])
     assert rc == 0
     rc = cli_main(["scale", "--grid", str(cost_json), "--A", "0.5", "--R", "1",
@@ -231,8 +253,8 @@ def test_campaign_flags_reach_the_echoed_config(tmp_path):
     for config, flags in ((flagged, ["--delays", "1.0", "--seed", str(seed), "--workers", "1"]),
                           (in_file, [])):
         out = tmp_path / f"{config.stem}.json"
-        rc = cli_main(["--config", str(config), "flexmax", "--trace", str(trace),
-                       *flags, "--out", str(out)])
+        rc = cli_main(["--config", str(config), "campaign", "--trace", str(trace),
+                       "--fractions", "none", *flags, "--out", str(out)])
         assert rc == 0
         runs[config.stem] = json.loads(out.read_text())
     echoed = runs["flagged"]["config"]["toolkit"]

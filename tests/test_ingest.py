@@ -218,3 +218,11 @@ def test_price_series_sorts_and_validates(tmp_path):
     bad.write_text("timestamp_iso8601,price\n2024-01-01T00:00:00,abc\n")
     with pytest.raises(IngestError, match="non-numeric"):
         parse_price_series(bad)
+
+
+def test_price_series_without_header_is_rejected(tmp_path):
+    # a headerless file would lose its first sample, and with it the maximum
+    path = tmp_path / "m.csv"
+    path.write_text("2024-01-01T00:00:00,9.0\n2024-01-01T01:00:00,1.0\n")
+    with pytest.raises(IngestError, match="header"):
+        parse_price_series(path)

@@ -10,12 +10,11 @@ from dcflex.market import (
 )
 
 
-def series(market, prices, currency="USD"):
+def series(market, prices):
     from datetime import datetime, timedelta
     start = datetime(2024, 1, 1)
     stamps = [start + timedelta(hours=h) for h in range(len(prices))]
-    return PriceSeries(market=market, timestamps=stamps,
-                       prices=prices, currency=currency)
+    return PriceSeries(market=market, timestamps=stamps, prices=prices)
 
 
 def cost_grid(cells):
@@ -40,12 +39,6 @@ def test_price_percentile_table():
     table = price_percentile_table(two, percentiles=(50, 100))
     assert table["toy"][50.0] == pytest.approx(5.0)
     assert table["toy"][100.0] == pytest.approx(10.0)
-
-
-def test_price_percentile_currency_check():
-    gbp = series("dfs", [3.0], currency="GBP")
-    with pytest.raises(ValueError, match="GBP"):
-        price_percentile_table(gbp)
 
 
 def test_profitability_thresholds():
@@ -86,6 +79,18 @@ def test_profitability_monotone_in_percentile():
         for p, value in table["m"].items():
             if p >= breakeven:
                 assert value >= 0.9
+
+
+def test_profitability_skips_flexibility_cells():
+    grid = cost_grid([
+        ((2.0, 365.0, 0.2, None), None, False),  # the flexibility cell
+        ((2.0, 365.0, 0.2, 1.0), 0.5, False),
+    ])
+    report = profitability_report(grid, {"m": {50.0: 1.0}})
+    assert [c["flex_fraction"] for c in report["cells"]] == [1.0]
+    del grid.cells[CellKey(2.0, 365.0, 0.2, 1.0)]
+    with pytest.raises(ValueError, match="cost campaign"):
+        profitability_report(grid, {"m": {50.0: 1.0}})
 
 
 def test_profitability_requires_cost_grid():

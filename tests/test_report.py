@@ -58,6 +58,30 @@ def test_multi_panel_and_missing_cells(tmp_path):
     assert "n/a" in (tmp_path / "multi_norm_flex_delay0.1.svg").read_text()
 
 
+def test_one_panel_per_delay_and_fraction_of_the_grid(tmp_path):
+    cells = {}
+    for frac, acof in ((None, None), (0.5, 0.4), (1.0, 0.6)):
+        key = CellKey(0.25, 365.0, 0.1, frac)
+        cells[key] = CellResult(
+            duration_hours=0.25, annual_frequency=365.0, max_delay_frac=0.1,
+            flex_fraction=frac, mean_flex_kw=1.0, norm_flex=0.1,
+            acof=acof, apcof=acof, aecof=None if acof is None else 0.0,
+            windows_evaluated=1, degenerate=False, statuses=("optimal",),
+        )
+    grid = CampaignResult(kind="costmin", config={}, cells=cells)
+
+    def names(written):
+        return [p.name for p in written if p.suffix == ".svg"]
+    assert names(heatmap_export(grid, "norm_flex", tmp_path / "m")) == [
+        "m_norm_flex_delay0.1.svg", "m_norm_flex_delay0.1_frac0.5.svg",
+        "m_norm_flex_delay0.1_frac1.svg"]
+    # flexibility cells carry no cost, so they get no cost panel
+    assert names(heatmap_export(grid, "acof", tmp_path / "m")) == [
+        "m_acof_delay0.1_frac0.5.svg", "m_acof_delay0.1_frac1.svg"]
+    with pytest.raises(ValueError, match="no cell with acof"):
+        heatmap_export(one_cell_grid(), "acof", tmp_path / "flex")
+
+
 def test_unknown_metric(tmp_path):
     with pytest.raises(ValueError, match="unknown metric"):
         heatmap_export(one_cell_grid(), "sparkle", tmp_path / "x")
