@@ -79,6 +79,5 @@ from .market import (
 )
 from .report import heatmap_export, load_grid_csv
 from .synth import generate_synthetic_trace
-from .cli import cli_main
 
 __version__ = "0.1.0"

@@ -26,8 +26,10 @@ import csv
 import hashlib
 import json
 import logging
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -163,15 +165,19 @@ class CampaignResult:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "CampaignResult":
+        """The result that to_json_dict wrote; ValueError for any other JSON."""
+        if not (isinstance(payload, dict) and "kind" in payload
+                and isinstance(payload.get("cells"), dict)):
+            raise ValueError("not a campaign grid: it needs a 'kind' key and a 'cells' object")
         cells = {}
-        for record in payload["cells"].values():
-            record = dict(record)
-            record["statuses"] = tuple(record.get("statuses", ()))
-            record["gaps"] = tuple(record.get("gaps", ()))
-            cell = CellResult(**record)
-            key = CellKey(cell.duration_hours, cell.annual_frequency,
-                          cell.max_delay_frac, cell.flex_fraction)
-            cells[key] = cell
+        for name, record in payload["cells"].items():
+            try:
+                cell = CellResult(**{**record, "statuses": tuple(record.get("statuses", ())),
+                                     "gaps": tuple(record.get("gaps", ()))})
+                cells[CellKey(cell.duration_hours, cell.annual_frequency,
+                              cell.max_delay_frac, cell.flex_fraction)] = cell
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"not a campaign cell record: {name}: {exc}") from None
         return cls(kind=payload["kind"], config=payload.get("config", {}), cells=cells)
 
     @classmethod
@@ -227,30 +233,34 @@ def _record(key, status, flex_kw, apcof=None, aecof=None, gap=None, degenerate=F
             "aecof": aecof, "gap": gap, "degenerate": degenerate}
 
 
-def _campaign_horizon(payload) -> list:
-    """Every cell of one horizon, or `error` on each of them if the horizon raised.
+def _cell_keys(services, delays, fractions) -> list:
+    """Every (service, delay, fraction) cell of a grid, in output order."""
+    return [CellKey(svc.duration_hours, svc.annual_frequency, delay, frac)
+            for svc in services for delay in delays for frac in fractions]
 
-    One failing horizon is recorded on its own cells and does not abort the
-    campaign; the traceback goes to the `dcflex.campaign` log.
+
+def _campaign_horizon(h, **run) -> list:
+    """Every cell of horizon h, or `error` on each of them if the horizon raised.
+
+    run holds the other arguments of _horizon_records by name. One failing
+    horizon is recorded on its own cells and does not abort the campaign;
+    the traceback goes to the `dcflex.campaign` log.
     """
     try:
-        return _horizon_records(payload)
+        return _horizon_records(h, **run)
     except Exception:
-        h, _, _, _, services, delays, fractions, *_ = payload
         log.exception("horizon %d failed; its cells are recorded as errors", h)
-        return [_record(CellKey(svc.duration_hours, svc.annual_frequency, delay, frac),
-                        "error", None)
-                for svc in services for delay in delays for frac in fractions]
+        return [_record(key, "error", None)
+                for key in _cell_keys(run["services"], run["delays"], run["fractions"])]
 
 
-def _horizon_records(payload) -> list:
+def _horizon_records(h, table, spec, econ, grid, services, delays, fractions, dq,
+                     master_seed, backend, clusters_per_day, aggregate) -> list:
     """Every cell of one horizon: the flexibility LP, then each fraction of it.
 
     Fraction None records the LP optimum itself; a number records the cost
     MILP at that share of the optimum, or a degenerate zero-cost cell.
     """
-    (h, table, spec, grid, services, delays, fractions, econ, dq, master_seed,
-     backend, clusters_per_day, aggregate) = payload
     part, base = _prepare_horizon(table, spec, grid, h, master_seed,
                                   clusters_per_day, aggregate)
     # the cost model's bound under quota needs the zero-delay optimum
@@ -297,13 +307,13 @@ def _horizon_records(payload) -> list:
     return records
 
 
-def _run_horizons(payloads, n_workers) -> list:
-    if n_workers <= 1 or len(payloads) <= 1:
-        return [_campaign_horizon(p) for p in payloads]
+def _run_horizons(horizon, n_h, n_workers) -> list:
+    if n_workers <= 1 or n_h <= 1:
+        return [horizon(h) for h in range(1, n_h + 1)]
     # the pool starts every worker at its first task, so ask for no more
     # workers than there are horizons
-    with ProcessPoolExecutor(max_workers=min(n_workers, len(payloads))) as pool:
-        return list(pool.map(_campaign_horizon, payloads))
+    with ProcessPoolExecutor(max_workers=min(n_workers, n_h)) as pool:
+        return list(pool.map(horizon, range(1, n_h + 1)))
 
 
 def _mean(values):
@@ -337,52 +347,51 @@ def run_campaign(
     shifted energy, split into the computing-price part (APCoF) and the
     extra-energy part (AECoF, nonzero only under dynamic quota); the
     decomposition is exact by construction. econ is read only when some
-    fraction is a number.
+    fraction is a number. Delays must be finite and >= 0, and fractions
+    None or in [0, 1]; anything else raises ValueError before any solve.
     """
     services = tuple(services)
     delays = tuple(float(d) for d in delays)
     fractions = tuple(None if f is None else float(f) for f in flex_fractions)
+    if not all(math.isfinite(d) and d >= 0.0 for d in delays):
+        raise ValueError(f"delays must be finite and >= 0, got {list(delays)}")
+    if not all(f is None or 0.0 <= f <= 1.0 for f in fractions):
+        raise ValueError(f"flex fractions must be none or in [0, 1], got {list(fractions)}")
     costed = any(frac is not None for frac in fractions)
     if costed and econ is None:
         raise ValueError("cost cells need EconParams")
     n_h = horizon_count(table, grid)
-    payloads = [
-        (h, table, spec, grid, services, delays, fractions, econ, dq, master_seed,
-         backend, clusters_per_day, aggregate)
-        for h in range(1, n_h + 1)
-    ]
+    horizon = partial(_campaign_horizon, table=table, spec=spec, econ=econ, grid=grid,
+                      services=services, delays=delays, fractions=fractions, dq=dq,
+                      master_seed=master_seed, backend=backend,
+                      clusters_per_day=clusters_per_day, aggregate=aggregate)
     by_cell = {}
-    for out in _run_horizons(payloads, n_workers):
+    for out in _run_horizons(horizon, n_h, n_workers):
         for r in out:
             by_cell.setdefault(r["cell"], []).append(r)
 
     cells = {}
-    for svc in services:
-        for delay in delays:
-            for frac in fractions:
-                key = CellKey(svc.duration_hours, svc.annual_frequency, delay, frac)
-                recs = by_cell.get(key, [])
-                good = [r for r in recs if r["flex_kw"] is not None]
-                mean_flex = _mean([r["flex_kw"] for r in good])
-                apcof = aecof = None
-                if frac is not None:
-                    apcof = _mean([r["apcof"] for r in good])
-                    aecof = _mean([r["aecof"] for r in good])
-                cells[key] = CellResult(
-                    duration_hours=svc.duration_hours,
-                    annual_frequency=svc.annual_frequency,
-                    max_delay_frac=delay,
-                    flex_fraction=frac,
-                    mean_flex_kw=mean_flex,
-                    norm_flex=None if mean_flex is None else mean_flex / spec.max_power_kw,
-                    acof=None if apcof is None else apcof + aecof,
-                    apcof=apcof,
-                    aecof=aecof,
-                    windows_evaluated=len(good),
-                    degenerate=any(r["degenerate"] for r in recs),
-                    statuses=tuple(r["status"] for r in recs),
-                    gaps=() if frac is None else tuple(r["gap"] for r in recs),
-                )
+    for key in _cell_keys(services, delays, fractions):
+        recs = by_cell.get(key, [])
+        good = [r for r in recs if r["flex_kw"] is not None]
+        mean_flex = _mean([r["flex_kw"] for r in good])
+        apcof = aecof = None
+        frac = key.flex_fraction
+        if frac is not None:
+            apcof = _mean([r["apcof"] for r in good])
+            aecof = _mean([r["aecof"] for r in good])
+        cells[key] = CellResult(
+            **asdict(key),
+            mean_flex_kw=mean_flex,
+            norm_flex=None if mean_flex is None else mean_flex / spec.max_power_kw,
+            acof=None if apcof is None else apcof + aecof,
+            apcof=apcof,
+            aecof=aecof,
+            windows_evaluated=len(good),
+            degenerate=any(r["degenerate"] for r in recs),
+            statuses=tuple(r["status"] for r in recs),
+            gaps=() if frac is None else tuple(r["gap"] for r in recs),
+        )
 
     kind = "costmin" if costed else "flexmax"
     config = {
@@ -410,22 +419,9 @@ def run_campaign(
     return CampaignResult(kind=kind, config=config, cells=cells)
 
 
-def run_flexmax_campaign(
-    table: JobTable,
-    spec: DataCenterSpec,
-    grid: TimeGrid,
-    services: Sequence[ServiceSpec],
-    delays: Sequence[float],
-    dq: DqParams = NO_DQ,
-    master_seed: int = 0,
-    backend: SolverBackend = DEFAULT_BACKEND,
-    clusters_per_day: int = 100,
-    aggregate: bool = True,
-    n_workers: int = 1,
-) -> CampaignResult:
-    """The flexibility cells alone: run_campaign at the one fraction None."""
-    return run_campaign(table, spec, None, grid, services, delays, (None,), dq,
-                        master_seed, backend, clusters_per_day, aggregate, n_workers)
+def run_flexmax_campaign(table, spec, grid, services, delays, **options) -> CampaignResult:
+    """The flexibility cells alone: run_campaign's options at the one fraction None."""
+    return run_campaign(table, spec, None, grid, services, delays, (None,), **options)
 
 
 #: The cost cells are run_campaign at numeric fractions.

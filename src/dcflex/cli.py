@@ -81,10 +81,7 @@ def _prepare_jobs(args, config):
 
 def _cmd_synth(args, config):
     table = generate_synthetic_trace(
-        args.profile, args.days, args.seed,
-        grid=cfg.grid_from_config(config),
-        spec=cfg.spec_from_config(config),
-    )
+        args.profile, args.days, args.seed, spec=cfg.spec_from_config(config))
     write_job_trace(table, args.out)
     _echo_config(config, args.out)
     print(f"wrote {len(table)} jobs to {args.out}")

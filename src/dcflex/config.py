@@ -65,7 +65,11 @@ DEFAULTS = {
 
 def _coerce(default, text: str):
     if isinstance(default, bool):
-        return text.strip().lower() in ("1", "true", "yes", "on")
+        booleans = configparser.ConfigParser.BOOLEAN_STATES
+        word = text.strip().lower()
+        if word not in booleans:
+            raise ValueError(f"not a boolean: {text!r} (use 1/true/yes/on or 0/false/no/off)")
+        return booleans[word]
     if isinstance(default, int):
         return int(text)
     if isinstance(default, float):

@@ -314,19 +314,16 @@ class ScheduleSolution:
 
     Holds what callers read and nothing more. x is keyed by (job_id, step),
     only holds entries inside each job's available period and is decoded
-    on first read; power, flexibility and sustained amounts are dense
-    arrays. The per-job dicts and cost fields are filled by
-    cost-minimization solves only.
+    on first read; power and sustained amounts are dense arrays. The per-job
+    dicts and cost fields are filled by cost-minimization solves only.
     """
 
     status: str                      # optimal | infeasible | unbounded | limit | error
     power_kw: np.ndarray | None
-    flex_kw: np.ndarray | None
     sustained_kw: np.ndarray | None
     mean_flex_kw: float | None
     end_marker: dict | None = None           # last running step + 1
     delay_frac: dict | None = None
-    job_cost: dict | None = None
     total_cost: float | None = None
     extra_energy_cost: float | None = None
     stats: SolveStats | None = None

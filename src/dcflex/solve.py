@@ -140,7 +140,7 @@ def solve(model: ModelInstance, backend: SolverBackend = DEFAULT_BACKEND) -> Sch
     if values is None:
         return ScheduleSolution(
             status=status,
-            power_kw=None, flex_kw=None, sustained_kw=None, mean_flex_kw=None,
+            power_kw=None, sustained_kw=None, mean_flex_kw=None,
             stats=stats,
         )
     return _decode(model, values, status, stats)
@@ -182,26 +182,26 @@ def _decode(model: ModelInstance, values: np.ndarray, status: str,
             stats: SolveStats | None) -> ScheduleSolution:
     meta = model.meta
     T = meta["T"]
-    p0, f0, s0 = meta["p0"], meta["f0"], meta["s0"]
+    p0, s0 = meta["p0"], meta["s0"]
     power = values[p0:p0 + T].copy()
-    flex = values[f0:f0 + T].copy()
     # HiGHS may return sustained values a hair below their lower bound 0
     sustained = np.maximum(values[s0:s0 + len(meta["windows"])], 0.0)
     mean_flex = float(sustained.mean()) if sustained.size else 0.0
 
     sol = ScheduleSolution(
         status=status,
-        power_kw=power, flex_kw=flex, sustained_kw=sustained,
+        power_kw=power, sustained_kw=sustained,
         mean_flex_kw=mean_flex,
         stats=stats,
         decode_x=partial(_x_by_step, meta, values),
     )
     if model.kind == "costmin":
         econ = meta["econ"]
-        sol.end_marker, sol.delay_frac, sol.job_cost = (
+        sol.end_marker, sol.delay_frac = (
             dict(zip(meta["job_ids"], values[meta[col]].tolist()))
-            for col in ("e_col", "delta_col", "c_col"))
-        price_cost = float(sum(sol.job_cost.values()))
+            for col in ("e_col", "delta_col"))
+        # in job order, not over a dict keyed by id: ids need not be unique
+        price_cost = float(sum(values[meta["c_col"]].tolist()))
         if meta["dq"].enabled:
             extra_cost = econ.energy_price * meta["dt_hours"] \
                 * float(power.sum() - meta["baseline_power"].sum())

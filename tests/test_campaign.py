@@ -24,7 +24,7 @@ from dcflex.campaign import (
 from dcflex.model import DataCenterSpec, JobTable, ServiceSpec, TimeGrid
 from dcflex.preprocess import baseline_profile
 from dcflex.problem import DqParams, build_costmin, build_flexmax
-from dcflex.solve import solve
+from dcflex.solve import DEFAULT_BACKEND, solve
 
 from conftest import ECON, TINY_GRID, tiny_a_jobs, tiny_a_spec, tiny_b_jobs, tiny_b_spec
 
@@ -254,6 +254,50 @@ def test_campaign_json_and_csv_round_trip(tmp_path):
     assert text.splitlines()[0] == \
         "duration_hours,annual_frequency,max_delay,flex_fraction,metric,value"
     assert "mean_flex_kw" in text
+
+
+@pytest.mark.parametrize("delays, fractions", [
+    ([-0.1], [None]), ([float("nan")], [None]), ([float("inf")], [None]),
+    ([0.5], [None, -0.5]), ([0.5], [1.5]), ([0.5], [float("nan")]),
+], ids=["negative_delay", "nan_delay", "inf_delay", "negative_fraction",
+        "fraction_above_one", "nan_fraction"])
+def test_campaign_rejects_delays_and_fractions_out_of_range(monkeypatch, delays, fractions):
+    # a negative fraction used to write a degenerate "optimal" cell of negative
+    # flexibility, and a negative delay an `error` on every cell
+    jobs, spec, grid, services = _two_horizons()
+    counts = _count_layer_calls(monkeypatch)
+    with pytest.raises(ValueError, match="delays must be finite|fractions must be none"):
+        run_campaign(jobs, spec, ECON, grid, services, delays, fractions)
+    assert counts == Counter()
+
+
+def test_campaign_accepts_the_ends_of_the_ranges():
+    jobs, spec, grid, services = _two_horizons()
+    result = run_campaign(jobs, spec, ECON, grid, services, [0.0, 1.0], [None, 0.0, 1.0],
+                          master_seed=5)
+    assert len(result.cells) == 6
+    assert all(cell.windows_evaluated == 2 for cell in result.cells.values())
+
+
+@pytest.mark.parametrize("payload", [
+    {"a": 1}, [], {"kind": "flexmax"}, {"cells": {}}, {"kind": "flexmax", "cells": []},
+    {"kind": "flexmax", "cells": {"x": 1}}, {"kind": "flexmax", "cells": {"x": {"a": 1}}},
+], ids=["foreign", "list", "no_cells", "no_kind", "cells_list", "cell_number",
+        "cell_fields"])
+def test_json_that_is_not_a_campaign_grid_is_rejected(payload):
+    with pytest.raises(ValueError, match="not a campaign"):
+        CampaignResult.from_json_dict(payload)
+
+
+def test_flexmax_campaign_is_run_campaign_at_fraction_none():
+    jobs, spec, grid, services = _two_horizons()
+    options = dict(dq=DqParams(True, 0.5), master_seed=5, backend=DEFAULT_BACKEND,
+                   clusters_per_day=1, aggregate=False, n_workers=1)
+    flex = run_flexmax_campaign(jobs, spec, grid, services, delays=[0.5, 1.0], **options)
+    both = run_campaign(jobs, spec, None, grid, services, [0.5, 1.0], [None], **options)
+    assert flex.to_json() == both.to_json()
+    with pytest.raises(TypeError):
+        run_flexmax_campaign(jobs, spec, grid, services, [0.5], flex_fractions=[1.0])
 
 
 def _two_horizons():

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import dcflex
 from dcflex.campaign import derive_seed, sample_activations
 from dcflex.cli import cli_main
 from dcflex.config import load_config
@@ -11,6 +15,7 @@ from dcflex.scaling import scale_acof_dq
 from test_campaign import _count_layer_calls
 
 DATA = Path(__file__).parent / "data"
+PACKAGE_ROOT = str(Path(dcflex.__file__).resolve().parent.parent)
 
 TINY_CONFIG = """\
 [grid]
@@ -262,3 +267,71 @@ def test_campaign_flags_reach_the_echoed_config(tmp_path):
     assert (campaign["delays"], campaign["master_seed"], campaign["workers"]) == ("1.0", seed, 1)
     assert echoed == runs["in_file"]["config"]["toolkit"]
     assert runs["flagged"]["cells"] == runs["in_file"]["cells"]
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1", True), ("true", True), ("Yes", True), (" ON ", True),
+    ("0", False), ("FALSE", False), ("no", False), ("Off", False),
+])
+def test_boolean_spellings(monkeypatch, text, value):
+    monkeypatch.setenv("DCFLEX_DQ_ENABLED", text)
+    assert load_config()["dq"]["enabled"] is value
+
+
+def test_mistyped_boolean_is_an_error(tmp_path, monkeypatch, capsys):
+    # "ture" used to read as false and silently switch dynamic quota off
+    monkeypatch.setenv("DCFLEX_DQ_ENABLED", "ture")
+    with pytest.raises(ValueError, match="not a boolean: 'ture'"):
+        load_config()
+    trace = tmp_path / "trace.csv"
+    args = ["synth", "--profile", "ai_like", "--days", "10", "--out", str(trace)]
+    assert cli_main(args) == 1
+    assert capsys.readouterr().err.startswith("error: not a boolean: 'ture'")
+    monkeypatch.delenv("DCFLEX_DQ_ENABLED")
+    config = tmp_path / "conf.ini"
+    config.write_text("[campaign]\naggregate = flase\n")
+    assert cli_main(["--config", str(config), *args]) == 1
+    assert capsys.readouterr().err.startswith("error: not a boolean: 'flase'")
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--fractions", "none,-0.5"], "flex fractions must be none or in [0, 1]"),
+    (["--fractions", "1.5"], "flex fractions must be none or in [0, 1]"),
+    (["--delays", "-0.1"], "delays must be finite and >= 0"),
+], ids=["negative_fraction", "fraction_above_one", "negative_delay"])
+def test_campaign_flags_out_of_range_are_errors(tmp_path, capsys, flags, message):
+    trace = tmp_path / "t.csv"
+    write_tiny_trace(trace)
+    config = tmp_path / "conf.ini"
+    config.write_text(TINY_CONFIG)
+    out = tmp_path / "grid.json"
+    rc = cli_main(["--config", str(config), "campaign", "--trace", str(trace), *flags,
+                   "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["scale", "--A", "0.5", "--R", "1", "--G", "1", "--out", "scaled.json"],
+    ["report", "--out-prefix", "heat"],
+    ["profit", "--prices", "prices.csv", "--out", "profit.json"],
+], ids=["scale", "report", "profit"])
+def test_grid_commands_reject_json_that_is_not_a_grid(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "prices.csv").write_text("timestamp_iso8601,price\n2024-01-01T00:00:00,3.0\n")
+    grid = tmp_path / "x.json"
+    grid.write_text('{"a": 1}\n')
+    assert cli_main([command[0], "--grid", str(grid), *command[1:]]) == 1
+    assert capsys.readouterr().err.startswith("error: not a campaign grid")
+
+
+def test_module_entry_point_runs_without_warnings():
+    path = os.pathsep.join(p for p in (PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "dcflex.cli",
+                           "--help"], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "campaign" in proc.stdout

@@ -30,13 +30,24 @@ from conftest import (
 solve_module = importlib.import_module("dcflex.solve")
 
 
+def _flex_and_power(model):
+    """The flexibility and power columns of the model's solution."""
+    _, _, values, _ = _run_highs(model, DEFAULT_BACKEND)
+    meta = model.meta
+    return (values[meta["f0"]:meta["f0"] + meta["T"]],
+            values[meta["p0"]:meta["p0"] + meta["T"]])
+
+
 def test_tiny_a_flexmax(tiny_a):
     jobs, spec, base, plan = tiny_a
-    sol = solve(build_flexmax(jobs, spec, base, plan))
+    model = build_flexmax(jobs, spec, base, plan)
+    sol = solve(model)
     assert sol.ok
     assert sol.mean_flex_kw == pytest.approx(2.0, abs=1e-6)
     assert sol.sustained_kw.tolist() == [pytest.approx(2.0, abs=1e-6)]
-    assert np.allclose(sol.flex_kw, base.power_kw - sol.power_kw, atol=1e-9)
+    flex, power = _flex_and_power(model)
+    assert np.array_equal(power, sol.power_kw)
+    assert np.allclose(flex, base.power_kw - power, atol=1e-9)
 
 
 def test_tiny_a_costmin(tiny_a):
@@ -47,7 +58,20 @@ def test_tiny_a_costmin(tiny_a):
     assert sol.delay_frac["a"] == pytest.approx(0.5, abs=1e-6)
     assert sol.end_marker["a"] == pytest.approx(4.0, abs=1e-6)
     assert sol.extra_energy_cost == 0.0
-    assert sol.job_cost["a"] + sol.job_cost["b"] == pytest.approx(0.25, abs=1e-6)
+
+
+def test_costmin_total_counts_every_job_of_a_repeated_id(tiny_a):
+    # a trace may repeat a job id; each job's price cost still counts, so
+    # both jobs shifting out of the window cost 0.25 each either way
+    _, spec, base, _ = tiny_a
+    plan = ActivationPlan(windows=((2, 2),), grid=TINY_GRID)
+    for ids in (["a", "b"], ["a", "a"]):
+        jobs = JobTable(ids, [1, 1], [2, 2], [1.0, 1.0])
+        target = solve(build_flexmax(jobs, spec, base, plan)).mean_flex_kw
+        sol = solve(build_costmin(jobs, spec, ECON, base, plan, target))
+        assert sol.ok
+        assert sol.total_cost == sol.stats.primal_bound
+        assert sol.total_cost == pytest.approx(0.5, abs=1e-6)
 
 
 def test_costmin_zero_target_is_free(tiny_a):
@@ -77,7 +101,8 @@ def test_solution_respects_model_invariants():
     for _ in range(25):
         grid, jobs, spec, base = random_instance(rng)
         plan = random_plan(rng, grid)
-        sol = solve(build_flexmax(jobs, spec, base, plan))
+        model = build_flexmax(jobs, spec, base, plan)
+        sol = solve(model)
         assert sol.ok
         tol = 1e-6
         by_id = {jid: i for i, jid in enumerate(jobs.ids)}
@@ -90,7 +115,9 @@ def test_solution_respects_model_invariants():
             usage[t] += v * jobs.resources[by_id[jid]]
         assert usage.max() <= spec.total_resources + tol
         # flexibility identity and objective wiring
-        assert np.allclose(sol.flex_kw, base.power_kw - sol.power_kw, atol=tol)
+        flex, power = _flex_and_power(model)
+        assert np.array_equal(power, sol.power_kw)
+        assert np.allclose(flex, base.power_kw - power, atol=tol)
         assert sol.mean_flex_kw == pytest.approx(float(sol.sustained_kw.mean()), abs=1e-12)
 
 
