@@ -399,7 +399,8 @@ def run_campaign(
         "master_seed": master_seed,
         "grid": {"step_minutes": grid.step_minutes, "steps": grid.steps,
                  "origin": grid.origin},
-        "datacenter": asdict(spec),
+        # every cell is solved at its own delay from delays, not at the spec's
+        "datacenter": {k: v for k, v in asdict(spec).items() if k != "max_delay_frac"},
         "services": [
             {"duration_hours": s.duration_hours, "annual_frequency": s.annual_frequency,
              "duration_steps": s.duration_steps, "window_count": s.window_count}
@@ -407,15 +408,14 @@ def run_campaign(
         ],
         "delays": list(delays),
         "dynamic_quota": {"enabled": dq.enabled, "speedup": dq.speedup},
-        "backend": {"name": "highs", "mip_rel_gap": backend.mip_rel_gap,
+        "backend": {"mip_rel_gap": backend.mip_rel_gap,
                     "time_limit_s": backend.time_limit_s},
         "clusters_per_day": clusters_per_day,
         "aggregate": aggregate,
         "horizons": n_h,
     }
     if costed:
-        config.update({"flex_fractions": list(fractions), "econ": asdict(econ),
-                       "tighten": True})
+        config.update({"flex_fractions": list(fractions), "econ": asdict(econ)})
     return CampaignResult(kind=kind, config=config, cells=cells)
 
 

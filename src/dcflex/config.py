@@ -63,18 +63,22 @@ DEFAULTS = {
 }
 
 
-def _coerce(default, text: str):
-    if isinstance(default, bool):
-        booleans = configparser.ConfigParser.BOOLEAN_STATES
-        word = text.strip().lower()
-        if word not in booleans:
-            raise ValueError(f"not a boolean: {text!r} (use 1/true/yes/on or 0/false/no/off)")
-        return booleans[word]
-    if isinstance(default, int):
-        return int(text)
-    if isinstance(default, float):
-        return float(text)
-    return text
+def _coerce(default, text: str, source: str):
+    """text as the type of default; a ValueError names source, where text came from."""
+    try:
+        if isinstance(default, bool):
+            booleans = configparser.ConfigParser.BOOLEAN_STATES
+            word = text.strip().lower()
+            if word not in booleans:
+                raise ValueError(f"not a boolean: {text!r} (use 1/true/yes/on or 0/false/no/off)")
+            return booleans[word]
+        if isinstance(default, int):
+            return int(text)
+        if isinstance(default, float):
+            return float(text)
+        return text
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {source}") from None
 
 
 def load_config(path=None, overrides=None) -> dict:
@@ -95,12 +99,14 @@ def load_config(path=None, overrides=None) -> dict:
             for key, text in parser.items(section):
                 if key not in config[section]:
                     raise ValueError(f"unknown config key {key!r} in [{section}]")
-                config[section][key] = _coerce(config[section][key], text)
+                config[section][key] = _coerce(config[section][key], text,
+                                               f"[{section}] {key}")
     for section, keys in config.items():
         for key in keys:
             env_name = f"{ENV_PREFIX}_{section.upper()}_{key.upper()}"
             if env_name in os.environ:
-                config[section][key] = _coerce(config[section][key], os.environ[env_name])
+                config[section][key] = _coerce(config[section][key], os.environ[env_name],
+                                               env_name)
     for (section, key), value in (overrides or {}).items():
         if value is None:
             continue

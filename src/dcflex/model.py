@@ -8,8 +8,7 @@ running steps a..b has a computing time of b - a + 1 steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -310,28 +309,19 @@ class SolveStats:
 
 @dataclass
 class ScheduleSolution:
-    """Decision-variable values of one solved scheduling problem.
+    """What callers read of one solved scheduling problem.
 
-    Holds what callers read and nothing more. x is keyed by (job_id, step),
-    only holds entries inside each job's available period and is decoded
-    on first read; power and sustained amounts are dense arrays. The per-job
-    dicts and cost fields are filled by cost-minimization solves only.
+    mean_flex_kw is the mean sustained flexibility over the activation
+    windows; total_cost (price plus extra energy) and extra_energy_cost are
+    filled by cost-minimization solves only. Every value is None where the
+    solve kept no values.
     """
 
     status: str                      # optimal | infeasible | unbounded | limit | error
-    power_kw: np.ndarray | None
-    sustained_kw: np.ndarray | None
     mean_flex_kw: float | None
-    end_marker: dict | None = None           # last running step + 1
-    delay_frac: dict | None = None
     total_cost: float | None = None
     extra_energy_cost: float | None = None
     stats: SolveStats | None = None
-    decode_x: object = field(default=None, repr=False)  # () -> x, None: no values
-
-    @cached_property
-    def x(self) -> dict:
-        return {} if self.decode_x is None else self.decode_x()
 
     @property
     def ok(self) -> bool:

@@ -147,14 +147,14 @@ def estimate_csf_samples(options: CloudOptionTable, nominal_econ: EconParams,
                 # per-unit compute time and price for a common workload
                 d_fast = 1.0 / fast.speed
                 d_slow = 1.0 / slow.speed
-                delay_frac = (d_slow - d_fast) / d_fast
-                if delay_frac > MAX_EXTRA_TIME_FRAC:
+                extra_time_frac = (d_slow - d_fast) / d_fast
+                if extra_time_frac > MAX_EXTRA_TIME_FRAC:
                     continue
                 v_fast = d_fast * fast.unit_price
                 v_slow = d_slow * slow.unit_price
                 if v_slow >= v_fast:
                     continue
-                coeff = (v_fast - v_slow) / (delay_frac * v_fast)
+                coeff = (v_fast - v_slow) / (extra_time_frac * v_fast)
                 csf = cost_scaling_factor(
                     coeff, fast.unit_price, fast.unit_power_w / 1000.0,
                     nominal_econ, nominal_unit_power_kw,

@@ -23,7 +23,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 from scipy.optimize._highspy import _core as highs
@@ -101,7 +100,7 @@ def _run_highs(model: ModelInstance, backend: SolverBackend, relax: bool = False
 
 
 def solve(model: ModelInstance, backend: SolverBackend = DEFAULT_BACKEND) -> ScheduleSolution:
-    """Solve a model and map variable values back to domain indices.
+    """Solve a model and decode its flexibility and, for a cost model, its cost.
 
     A model with binaries is solved as its LP relaxation first. An optimal
     relaxation whose integer columns are all integral within HiGHS's MIP
@@ -112,9 +111,10 @@ def solve(model: ModelInstance, backend: SolverBackend = DEFAULT_BACKEND) -> Sch
     relaxation have no time limit.
 
     Infeasible, unbounded, limit and error statuses are propagated on the
-    returned solution; a limit keeps values only for a model with binaries
-    that has an incumbent. A cost minimization is infeasible only when its
-    target exceeds the flexibility optimum.
+    returned solution; a limit is decoded only for a model with binaries
+    that has an incumbent, and a solution with nothing to decode holds None
+    for its values. A cost minimization is infeasible only when its target
+    exceeds the flexibility optimum.
     """
     is_mip = model.n_binary > 0
     highs_status, info, values, seconds = _run_highs(model, backend, relax=is_mip)
@@ -138,11 +138,7 @@ def solve(model: ModelInstance, backend: SolverBackend = DEFAULT_BACKEND) -> Sch
               stats.rows, stats.nonzeros, stats.binaries, status, run, stats.iterations,
               stats.nodes, stats.gap, seconds)
     if values is None:
-        return ScheduleSolution(
-            status=status,
-            power_kw=None, sustained_kw=None, mean_flex_kw=None,
-            stats=stats,
-        )
+        return ScheduleSolution(status=status, mean_flex_kw=None, stats=stats)
     return _decode(model, values, status, stats)
 
 
@@ -180,41 +176,21 @@ def _stats(model, info, is_mip, status, has_values, iterations, seconds) -> Solv
 
 def _decode(model: ModelInstance, values: np.ndarray, status: str,
             stats: SolveStats | None) -> ScheduleSolution:
+    """The mean sustained flexibility of the values and a cost model's costs."""
     meta = model.meta
-    T = meta["T"]
-    p0, s0 = meta["p0"], meta["s0"]
-    power = values[p0:p0 + T].copy()
+    s0 = meta["s0"]
     # HiGHS may return sustained values a hair below their lower bound 0
     sustained = np.maximum(values[s0:s0 + len(meta["windows"])], 0.0)
     mean_flex = float(sustained.mean()) if sustained.size else 0.0
-
-    sol = ScheduleSolution(
-        status=status,
-        power_kw=power, sustained_kw=sustained,
-        mean_flex_kw=mean_flex,
-        stats=stats,
-        decode_x=partial(_x_by_step, meta, values),
-    )
-    if model.kind == "costmin":
-        econ = meta["econ"]
-        sol.end_marker, sol.delay_frac = (
-            dict(zip(meta["job_ids"], values[meta[col]].tolist()))
-            for col in ("e_col", "delta_col"))
-        # in job order, not over a dict keyed by id: ids need not be unique
-        price_cost = float(sum(values[meta["c_col"]].tolist()))
-        if meta["dq"].enabled:
-            extra_cost = econ.energy_price * meta["dt_hours"] \
-                * float(power.sum() - meta["baseline_power"].sum())
-        else:
-            extra_cost = 0.0
-        sol.extra_energy_cost = extra_cost
-        sol.total_cost = price_cost + extra_cost
-    return sol
-
-
-def _x_by_step(meta: dict, values: np.ndarray) -> dict:
-    """x[j, t] keyed by (job_id, step) over each job's available period."""
-    x = values.tolist()
-    return {(jid, t): x[col + t - a] for jid, a, b, col in zip(
-        meta["job_ids"], meta["win_a"].tolist(), meta["win_b"].tolist(), meta["x0"].tolist())
-        for t in range(a, b + 1)}
+    if model.kind != "costmin":
+        return ScheduleSolution(status=status, mean_flex_kw=mean_flex, stats=stats)
+    # every job's price cost in job order: ids need not be unique
+    price_cost = float(sum(values[meta["c_col"]].tolist()))
+    extra_cost = 0.0
+    if meta["dq"].enabled:
+        p0, T = meta["p0"], meta["T"]
+        extra_cost = meta["econ"].energy_price * meta["dt_hours"] \
+            * float(values[p0:p0 + T].sum() - meta["baseline_power"].sum())
+    return ScheduleSolution(status=status, mean_flex_kw=mean_flex,
+                            total_cost=price_cost + extra_cost,
+                            extra_energy_cost=extra_cost, stats=stats)

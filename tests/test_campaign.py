@@ -178,13 +178,16 @@ def test_campaign_config_and_gaps_by_kind():
     flex = run_flexmax_campaign(jobs, spec, TINY_GRID, services, [1.0]).to_json_dict()
     cost = run_costmin_campaign(jobs, spec, ECON, TINY_GRID, services, [1.0],
                                 [0.5]).to_json_dict()
-    extra = {"flex_fractions", "econ", "tighten"}
+    extra = {"flex_fractions", "econ"}
     assert flex["kind"] == flex["config"]["kind"] == "flexmax"
     assert not extra & set(flex["config"])
     assert cost["kind"] == cost["config"]["kind"] == "costmin"
     assert cost["config"]["flex_fractions"] == [0.5]
     assert cost["config"]["econ"] == asdict(ECON)
-    assert cost["config"]["tighten"] is True
+    for config in (flex["config"], cost["config"]):
+        # each cell is solved at its own delay, so the spec's is not echoed
+        assert "max_delay_frac" not in config["datacenter"]
+        assert set(config["backend"]) == {"mip_rel_gap", "time_limit_s"}
     assert all(cell["gaps"] == [] for cell in flex["cells"].values())
     assert all(len(cell["gaps"]) == 1 for cell in cost["cells"].values())
 

@@ -286,12 +286,16 @@ def test_mistyped_boolean_is_an_error(tmp_path, monkeypatch, capsys):
     trace = tmp_path / "trace.csv"
     args = ["synth", "--profile", "ai_like", "--days", "10", "--out", str(trace)]
     assert cli_main(args) == 1
-    assert capsys.readouterr().err.startswith("error: not a boolean: 'ture'")
+    err = capsys.readouterr().err
+    assert err.startswith("error: not a boolean: 'ture'")
+    assert err.rstrip().endswith(" in DCFLEX_DQ_ENABLED")
     monkeypatch.delenv("DCFLEX_DQ_ENABLED")
     config = tmp_path / "conf.ini"
     config.write_text("[campaign]\naggregate = flase\n")
     assert cli_main(["--config", str(config), *args]) == 1
-    assert capsys.readouterr().err.startswith("error: not a boolean: 'flase'")
+    err = capsys.readouterr().err
+    assert err.startswith("error: not a boolean: 'flase'")
+    assert err.rstrip().endswith(" in [campaign] aggregate")
     assert not trace.exists()
 
 

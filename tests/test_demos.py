@@ -22,6 +22,14 @@ DEMOS = ROOT / "demos"
 PACKAGE_ROOT = str(Path(dcflex.__file__).resolve().parent.parent)
 
 
+# the hand-checked numbers a fast demo prints, by the label before ": "
+DEMO_NUMBERS = {"01_tiny_fixture.py": {
+    "maximum sustained flexibility [kW]": 2.0,
+    "minimum flexibility cost [USD]": 0.25,
+    "average cost of flexibility [USD/kWh]": 0.5,  # 0.25 USD over 0.5 kWh
+}}
+
+
 @pytest.mark.parametrize("script", ["01_tiny_fixture.py", "04_cost_scaling_factors.py",
                                     "05_market_profitability.py"])
 def test_fast_demo_runs(script, tmp_path):
@@ -31,6 +39,9 @@ def test_fast_demo_runs(script, tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    printed = dict(line.split(": ", 1) for line in proc.stdout.splitlines() if ": " in line)
+    for label, value in DEMO_NUMBERS.get(script, {}).items():
+        assert float(printed[label]) == pytest.approx(value, abs=1e-6), label
 
 
 def dcflex_imports(source: str) -> list:

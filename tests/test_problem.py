@@ -19,7 +19,7 @@ from dcflex.problem import (
     tightening_bound,
     to_lp_text,
 )
-from dcflex.solve import SolverBackend, solve
+from dcflex.solve import DEFAULT_BACKEND, SolverBackend, _run_highs, solve
 
 from conftest import ECON, random_instance, random_plan, tiny_a_spec
 
@@ -47,13 +47,16 @@ def test_tiny_a_structure(tiny_a):
 
 def test_zero_delay_forces_baseline(tiny_a):
     jobs, spec, base, plan = tiny_a
-    sol = solve(build_flexmax(jobs, spec.with_max_delay(0.0), base, plan))
+    model = build_flexmax(jobs, spec.with_max_delay(0.0), base, plan)
+    sol = solve(model)
     assert sol.ok
     assert sol.mean_flex_kw == pytest.approx(0.0, abs=1e-9)
-    for j in ("a", "b"):
-        assert sol.x[(j, 1)] == pytest.approx(1.0)
-        assert sol.x[(j, 2)] == pytest.approx(1.0)
-        assert (j, 3) not in sol.x  # available period is exactly the baseline span
+    meta = model.meta
+    # each available period is exactly the baseline span, steps 1..2
+    assert meta["win_a"].tolist() == [1, 1] and meta["win_b"].tolist() == [2, 2]
+    values = _run_highs(model, DEFAULT_BACKEND)[2]
+    for col in meta["x0"]:
+        assert values[col:col + 2].tolist() == pytest.approx([1.0, 1.0])
 
 
 def test_dq_zero_speedup_coefficients(tiny_b):

@@ -38,26 +38,37 @@ def _flex_and_power(model):
             values[meta["p0"]:meta["p0"] + meta["T"]])
 
 
+def _decoded(model, values):
+    """(mean_flex_kw, total_cost) as solve() decodes them from the values."""
+    sol = _decode(model, values, "optimal", None)
+    return sol.mean_flex_kw, sol.total_cost
+
+
 def test_tiny_a_flexmax(tiny_a):
     jobs, spec, base, plan = tiny_a
     model = build_flexmax(jobs, spec, base, plan)
     sol = solve(model)
     assert sol.ok
     assert sol.mean_flex_kw == pytest.approx(2.0, abs=1e-6)
-    assert sol.sustained_kw.tolist() == [pytest.approx(2.0, abs=1e-6)]
+    assert (sol.mean_flex_kw, sol.total_cost) == _decoded(
+        model, _run_highs(model, DEFAULT_BACKEND)[2])
     flex, power = _flex_and_power(model)
-    assert np.array_equal(power, sol.power_kw)
     assert np.allclose(flex, base.power_kw - power, atol=1e-9)
 
 
 def test_tiny_a_costmin(tiny_a):
     jobs, spec, base, plan = tiny_a
-    sol = solve(build_costmin(jobs, spec, ECON, base, plan, 2.0))
+    model = build_costmin(jobs, spec, ECON, base, plan, 2.0)
+    sol = solve(model)
     assert sol.ok
     assert sol.total_cost == pytest.approx(0.25, abs=1e-6)
-    assert sol.delay_frac["a"] == pytest.approx(0.5, abs=1e-6)
-    assert sol.end_marker["a"] == pytest.approx(4.0, abs=1e-6)
     assert sol.extra_energy_cost == 0.0
+    # job a runs steps 2..3: end marker 4, one step late on two, delay 0.5
+    _, _, values, _ = _run_highs(model, DEFAULT_BACKEND)
+    meta = model.meta
+    a = meta["job_ids"].index("a")
+    assert values[meta["e_col"][a]] == pytest.approx(4.0, abs=1e-6)
+    assert values[meta["delta_col"][a]] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_costmin_total_counts_every_job_of_a_repeated_id(tiny_a):
@@ -105,20 +116,23 @@ def test_solution_respects_model_invariants():
         sol = solve(model)
         assert sol.ok
         tol = 1e-6
-        by_id = {jid: i for i, jid in enumerate(jobs.ids)}
-        # completion and allocation limits
-        for jid in jobs.ids:
-            total = sum(v for (j, t), v in sol.x.items() if j == jid)
-            assert total == pytest.approx(float(jobs.compute_steps[by_id[jid]]), abs=tol)
+        _, _, values, _ = _run_highs(model, DEFAULT_BACKEND)
+        meta = model.meta
+        # completion and allocation limits, on each job's x columns over
+        # its available period
         usage = np.zeros(grid.steps + 1)
-        for (jid, t), v in sol.x.items():
-            usage[t] += v * jobs.resources[by_id[jid]]
+        for j, (a, b, col) in enumerate(zip(meta["win_a"], meta["win_b"], meta["x0"])):
+            x = values[col:col + b - a + 1]
+            assert x.sum() == pytest.approx(float(jobs.compute_steps[j]), abs=tol)
+            usage[a:b + 1] += x * jobs.resources[j]
         assert usage.max() <= spec.total_resources + tol
         # flexibility identity and objective wiring
         flex, power = _flex_and_power(model)
-        assert np.array_equal(power, sol.power_kw)
         assert np.allclose(flex, base.power_kw - power, atol=tol)
-        assert sol.mean_flex_kw == pytest.approx(float(sol.sustained_kw.mean()), abs=1e-12)
+        s0 = meta["s0"]
+        assert sol.mean_flex_kw == pytest.approx(
+            float(values[s0:s0 + plan.count].mean()), abs=1e-12)
+        assert (sol.mean_flex_kw, sol.total_cost) == _decoded(model, values)
 
 
 def test_decode_clamps_sustained_to_lower_bound(tiny_a):
@@ -129,10 +143,8 @@ def test_decode_clamps_sustained_to_lower_bound(tiny_a):
     values = np.zeros(len(model.obj))
     s0 = model.meta["s0"]
     values[s0:s0 + 2] = [-1e-16, 0.5]
-    sol = _decode(model, values, "optimal", None)
-    assert sol.sustained_kw.tolist() == [0.0, 0.5]
-    assert sol.mean_flex_kw == 0.25
-    assert sol.mean_flex_kw == float(sol.sustained_kw.mean())
+    # unclamped, the mean would be 0.24999999999999994
+    assert _decode(model, values, "optimal", None).mean_flex_kw == 0.25
     values[s0:s0 + 2] = -1e-16
     assert _decode(model, values, "optimal", None).mean_flex_kw == 0.0
 
@@ -142,7 +154,9 @@ def test_solve_deterministic(tiny_a):
     a = solve(build_flexmax(jobs, spec, base, plan))
     b = solve(build_flexmax(jobs, spec, base, plan))
     assert a.mean_flex_kw == b.mean_flex_kw
-    assert np.array_equal(a.power_kw, b.power_kw)
+    model = build_flexmax(jobs, spec, base, plan)
+    assert (_run_highs(model, DEFAULT_BACKEND)[2].tobytes()
+            == _run_highs(model, DEFAULT_BACKEND)[2].tobytes())
 
 
 # --- the direct HiGHS call against scipy.optimize.milp ----------------------
@@ -209,13 +223,12 @@ def test_direct_highs_matches_milp_bit_for_bit():
         by_relaxation = _relaxation_proves(model)
         assert (sol.status, sol.stats.gap) == (status, 0.0 if by_relaxation else gap), i
         if x is None:
-            assert sol.power_kw is None and _run_highs(model, DEFAULT_BACKEND)[2] is None, i
+            assert sol.mean_flex_kw is None and _run_highs(model, DEFAULT_BACKEND)[2] is None, i
         else:
             assert _run_highs(model, DEFAULT_BACKEND)[2].tobytes() == x.tobytes(), i
-            # solve() returns the values of the run that proved its result
+            # solve() decodes the values of the run that proved its result
             values = _run_highs(model, DEFAULT_BACKEND, relax=by_relaxation)[2]
-            p0, T = model.meta["p0"], model.meta["T"]
-            assert sol.power_kw.tobytes() == values[p0:p0 + T].tobytes(), i
+            assert (sol.mean_flex_kw, sol.total_cost) == _decoded(model, values), i
         seen.append((model.kind, model.n_binary > 0, status, by_relaxation))
     assert len(seen) == 41
     outcomes = [s[:3] for s in seen]
@@ -312,8 +325,8 @@ def test_fractional_relaxation_falls_through_to_branch_and_bound(monkeypatch, ca
     assert sol.stats.highs_s == relaxed[3] + milp_run[3]
     assert sol.stats.iterations == (relaxed[1].simplex_iteration_count
                                     + milp_run[1].simplex_iteration_count)
-    p0, T = model.meta["p0"], model.meta["T"]
-    assert sol.power_kw.tobytes() == milp_run[2][p0:p0 + T].tobytes()
+    assert (sol.mean_flex_kw, sol.total_cost) == _decoded(model, milp_run[2])
+    assert _decoded(model, relaxed[2])[1] < sol.total_cost
     # one record per solve() call, naming the run that gave the result
     assert len(caplog.records) == 1
     assert "optimal by branch-and-bound" in caplog.records[0].getMessage()
@@ -367,7 +380,7 @@ def test_highs_status_by_name(monkeypatch, tiny_a, name):
         assert sol.status == expected
         # values survive an optimal solve, and a limit only with binaries
         kept = expected == "optimal" or (expected == "limit" and kind == "costmin")
-        assert (sol.power_kw is not None) == kept
+        assert (sol.mean_flex_kw is not None) == kept
         assert (sol.total_cost is not None) == (kept and kind == "costmin")
 
 
@@ -379,4 +392,4 @@ def test_limit_without_incumbent_has_no_values(monkeypatch, tiny_a):
     monkeypatch.setattr(solve_module, "_run_highs", lambda model, backend, relax=False: (
         HighsModelStatus.kTimeLimit, info, None, seconds))
     sol = solve(model)
-    assert sol.status == "limit" and sol.total_cost is None and sol.power_kw is None
+    assert sol.status == "limit" and sol.total_cost is None and sol.mean_flex_kw is None
