@@ -14,6 +14,14 @@ alone decides its kind, its econ echo and whether the quota model's
 zero-delay LP is solved. A horizon that raises is recorded as `error` on
 each of its cells.
 
+Each (horizon, service, delay) gets one CellSolver: the flexibility LP is
+its cold first solve, exactly as solve() would do it, so flexibility cells
+keep their bits. Under quota with cost cells, the zero-delay LP is that LP
+with the late x and xdq columns fixed at 0 (problem.without_delay). The
+cost model extends the LP by rows and columns; it is built once, at the
+largest fraction, and moved to each smaller one by its target and bound
+rows (problem.retarget). Every solve after the first starts warm.
+
 Determinism: every random draw is seeded from
 hash(master_seed, horizon_index, cell_key), so results are bit-identical
 for a given configuration regardless of worker count or execution order.
@@ -44,8 +52,8 @@ from .model import (
     TimeGrid,
 )
 from .preprocess import aggregate_daily, baseline_profile, partition_to_horizon
-from .problem import NO_DQ, DqParams, build_costmin, build_flexmax
-from .solve import DEFAULT_BACKEND, SolverBackend, solve
+from .problem import NO_DQ, DqParams, build_costmin, build_flexmax, retarget, without_delay
+from .solve import DEFAULT_BACKEND, CellSolver, SolverBackend
 
 log = logging.getLogger(__name__)
 
@@ -259,44 +267,64 @@ def _horizon_records(h, table, spec, econ, grid, services, delays, fractions, dq
     """Every cell of one horizon: the flexibility LP, then each fraction of it.
 
     Fraction None records the LP optimum itself; a number records the cost
-    MILP at that share of the optimum, or a degenerate zero-cost cell.
+    MILP at that share of the optimum, or a degenerate zero-cost cell. Per
+    service and delay one CellSolver solves the LP, its zero-delay
+    restriction and the cost relaxations, at the fractions from the largest
+    down, so the records do not depend on the order of the fractions.
     """
     part, base = _prepare_horizon(table, spec, grid, h, master_seed,
                                   clusters_per_day, aggregate)
     # the cost model's bound under quota needs the zero-delay optimum
     zero_delay_lp = dq.enabled and any(frac is not None for frac in fractions)
+    costed = sorted({frac for frac in fractions if frac is not None}, reverse=True)
     records = []
     for svc in services:
         for delay in delays:
             spec_d = spec.with_max_delay(delay)
             plan = _cell_plan(grid, svc, delay, h, master_seed)
+            cell = CellSolver(backend)
             if delay == 0.0 and not dq.enabled:
                 # closed form: each available period is the baseline span, so
                 # completion forces x = 1 (baseline_profile checked it fits)
                 status, s_max = "optimal", 0.0
             else:
-                lp = solve(build_flexmax(part, spec_d, base, plan, dq), backend)
+                flex = build_flexmax(part, spec_d, base, plan, dq)
+                lp = cell.solve(flex)
                 status, s_max = lp.status, (lp.mean_flex_kw if lp.ok else None)
             s_zero_delay = None
             if zero_delay_lp and s_max is not None:
-                if delay == 0.0:  # the cell's own LP is the zero-delay LP
-                    s_zero_delay = s_max
-                else:
-                    zd = solve(build_flexmax(part, spec.with_max_delay(0.0), base, plan,
-                                             dq), backend)
-                    s_zero_delay = zd.mean_flex_kw if zd.ok else 0.0
+                # at delay 0.0 the cell's own LP is the zero-delay LP; if the
+                # zero-delay LP fails, S_a <= s_max keeps the bound valid (at 0)
+                s_zero_delay = s_max
+                if delay > 0.0:
+                    zd = cell.solve(without_delay(flex, part))
+                    if zd.ok:
+                        s_zero_delay = zd.mean_flex_kw
+                    else:
+                        log.warning("horizon %d, %s: the zero-delay LP ended %s; the quota "
+                                    "cost bound is taken as 0", h,
+                                    CellKey(svc.duration_hours, svc.annual_frequency,
+                                            delay).text(), zd.status)
+            solved, cost = {}, None
+            for frac in (costed if s_max is not None else ()):
+                target = frac * s_max
+                if target <= DEGENERATE_FLEX_KW:
+                    break
+                cost = (build_costmin(part, spec_d, econ, base, plan, target, dq=dq,
+                                      zero_delay_flex_kw=s_zero_delay) if cost is None
+                        else retarget(cost, spec_d, plan, target, s_zero_delay))
+                solved[frac] = cell.solve(cost)
             for frac in fractions:
                 key = CellKey(svc.duration_hours, svc.annual_frequency, delay, frac)
                 if frac is None or s_max is None:
                     records.append(_record(key, status, s_max))
                     continue
                 target = frac * s_max
-                if target <= DEGENERATE_FLEX_KW:
+                if frac not in solved:
                     records.append(_record(key, "optimal", target, 0.0, 0.0,
                                            degenerate=True))
                     continue
-                sol = solve(build_costmin(part, spec_d, econ, base, plan, target, dq=dq,
-                                          zero_delay_flex_kw=s_zero_delay), backend)
+                sol = solved[frac]
                 if not (sol.ok or (sol.status == "limit" and sol.total_cost is not None)):
                     records.append(_record(key, sol.status, None))
                     continue

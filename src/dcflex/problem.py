@@ -55,7 +55,7 @@ pi * dt_hours * (sum_t p_t - sum_t p_base_t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -434,6 +434,44 @@ def build_costmin(jobs: JobTable, spec: DataCenterSpec, econ: EconParams,
 
     meta.update(econ=econ, e_col=e_col, delta_col=delta_col, c_col=c_col)
     return b.build("costmin", "min", objective, obj_const, meta)
+
+
+def retarget(model: ModelInstance, spec: DataCenterSpec, plan: ActivationPlan,
+             target_kw: float, zero_delay_flex_kw: float | None = None) -> ModelInstance:
+    """build_costmin's model at target_kw, made from its model at another target.
+
+    Only the lower bounds of the last two rows, service_target and
+    cost_bound, depend on the target; the copy shares every other array.
+    spec, plan and zero_delay_flex_kw are the ones the model was built with.
+    """
+    row_lb = model.row_lb.copy()
+    row_lb[-2] = plan.count * target_kw
+    row_lb[-1] = tightening_bound(model.meta["econ"], spec, plan, target_kw,
+                                  dq=model.meta["dq"], zero_delay_flex_kw=zero_delay_flex_kw)
+    return replace(model, row_lb=row_lb)
+
+
+def without_delay(model: ModelInstance, jobs: JobTable) -> ModelInstance:
+    """The model with every job held to its undelayed span [a_j, a_j + D_j - 1].
+
+    The x and xdq columns of later steps get upper bound 0; the copy
+    shares every other array. For a flexibility model built at any delay
+    its optimum is that of the model built at delay 0. The x are then the
+    same, and so are the capacity, power and flex rows. A job budgeted at
+    delay 0 is budgeted at any delay, as its span only grows, and its extra
+    counter columns may be 0. A job budgeted only at the longer delay keeps
+    the smallest counter of its x within budget: by the module docstring,
+    sum z - 1 <= D_j - sum x <= D_j - D_j/(1 + K), which is at most its cap
+    because the job is not budgeted at delay 0. So its counter rows cut
+    nothing.
+    """
+    late = model.meta["win_a"] + jobs.compute_steps  # a_j + D_j
+    var_ub = model.var_ub.copy()
+    for name, cols, index, *_ in model.families[0]:
+        if name in ("x", "xdq"):
+            jj, t = index
+            var_ub[cols[t >= late[jj]]] = 0.0
+    return replace(model, var_ub=var_ub)
 
 
 def tightening_bound(econ: EconParams, spec: DataCenterSpec, plan: ActivationPlan,

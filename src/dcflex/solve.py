@@ -1,4 +1,4 @@
-"""Solver limits and solution decoding.
+"""Solver limits, warm re-solves and solution decoding.
 
 Every model, the flexibility LP and the cost MILP alike, is solved by
 direct calls into the HiGHS that scipy bundles, in `_run_highs`. That call
@@ -6,15 +6,24 @@ goes through scipy's private ``scipy.optimize._highspy._core._Highs``
 binding, which is used in this module and nowhere else; the public
 ``scipy.optimize.milp`` would wrap the same solver in per-column work
 (variable-type objects, the basis, bound marginals) that nothing here
-reads. Single-threaded HiGHS is deterministic, so identical models produce
-identical solutions regardless of scheduling.
+reads. Single-threaded HiGHS is deterministic, so the same sequence of
+models produces identical solutions regardless of scheduling.
 
-A model with binaries is first solved as its LP relaxation. When that LP
-is optimal and every integer column lies within HiGHS's MIP feasibility
-tolerance of an integer, its solution is feasible for the MILP and its
-objective bounds the MILP's, so it is the MILP optimum and branch-and-bound
-never runs; an infeasible relaxation proves the MILP infeasible. Otherwise
-the MILP runs in the time the relaxation left.
+A `CellSolver` keeps one HiGHS instance across models that extend each
+other. Its first model is solved from scratch with presolve (a cold
+start); each later one is sent as the changed costs and bounds and the
+appended rows and columns, and HiGHS's dual simplex re-solves from the
+last basis, skipping presolve (a warm start). A campaign cell so solves its
+flexibility LP, the zero-delay restriction of it and its cost relaxation
+at each fraction. `solve(model)` is the first solve of a fresh CellSolver.
+
+A model with binaries is first solved as its LP relaxation, on the held
+instance. When that LP is optimal and every integer column lies within
+HiGHS's MIP feasibility tolerance of an integer, its solution is feasible
+for the MILP and its objective bounds the MILP's, so it is the MILP optimum
+and branch-and-bound never runs; an infeasible relaxation proves the MILP
+infeasible. Otherwise the MILP runs cold, on a fresh instance of the whole
+model, in the time the relaxation left.
 """
 
 from __future__ import annotations
@@ -62,13 +71,11 @@ DEFAULT_BACKEND = SolverBackend()
 _INTEGER_TOL = 1e-6
 
 
-def _run_highs(model: ModelInstance, backend: SolverBackend, relax: bool = False):
-    """Minimize the model (a max model through its negated objective) in HiGHS.
+def _new_highs(model: ModelInstance, backend: SolverBackend, relax: bool):
+    """A fresh HiGHS instance holding the model, its LP relaxation with relax.
 
-    With relax, the integrality of the columns is dropped and the LP
-    relaxation is solved under the LP options. Returns (HighsModelStatus,
-    HighsInfo, column values or None, seconds in run()); the values are read
-    only when HiGHS holds a feasible solution.
+    A max model is held as the minimization of its negated objective; the
+    options are the LP ones unless the model has binaries and relax is off.
     """
     # log_to_console, not output_flag: switching all output off moves some
     # degenerate LPs to another of their optima
@@ -84,11 +91,30 @@ def _run_highs(model: ModelInstance, backend: SolverBackend, relax: bool = False
     # a full-length integrality array even for an LP (an empty one is read
     # past its end), and HiGHS solves an all-zero one as an LP
     h.passModel(model.n_vars, model.n_rows, a.nnz, int(highs.MatrixFormat.kColwise),
-                int(highs.ObjSense.kMinimize), 0.0,
-                model.obj if model.sense == "min" else -model.obj,
+                int(highs.ObjSense.kMinimize), 0.0, _min_cost(model),
                 model.var_lb, model.var_ub, model.row_lb, model.row_ub,
                 a.indptr, a.indices, a.data,
                 np.zeros_like(model.integrality) if relax else model.integrality)
+    return h
+
+
+def _min_cost(model: ModelInstance) -> np.ndarray:
+    """The objective HiGHS minimizes for the model."""
+    return model.obj if model.sense == "min" else -model.obj
+
+
+def _run_highs(model: ModelInstance, backend: SolverBackend, relax: bool = False,
+               held=None):
+    """Minimize the model (a max model through its negated objective) in HiGHS.
+
+    With relax, the integrality of the columns is dropped and the LP
+    relaxation is solved under the LP options. held is an instance that
+    already holds the model (its relaxation with relax), re-solved from
+    where its last run left off; without it a fresh instance is made.
+    Returns (HighsModelStatus, HighsInfo, column values or None, seconds in
+    run()); the values are read only when HiGHS holds a feasible solution.
+    """
+    h = _new_highs(model, backend, relax) if held is None else held
     start = time.perf_counter()
     h.run()
     seconds = time.perf_counter() - start
@@ -99,16 +125,124 @@ def _run_highs(model: ModelInstance, backend: SolverBackend, relax: bool = False
     return h.getModelStatus(), info, values, seconds
 
 
+def _check(status, what):
+    """Raise if HiGHS returned an error status for a change to its model."""
+    if status == highs.HighsStatus.kError:
+        raise ValueError(f"HiGHS rejected {what}")
+
+
+class CellSolver:
+    """One HiGHS instance, re-solved warm across models that extend each other.
+
+    The first solve passes its model whole, as solve() does. Each later
+    model must have the held model's columns and rows, with the same matrix
+    entries, as its leading ones (ValueError otherwise). Its costs and
+    bounds may differ, and rows and columns may follow. The instance holds
+    LPs only: a MILP's relaxation runs on it, its branch-and-bound on a
+    fresh instance of the whole model. While branch-and-bound runs, the held
+    instance is given up and only its basis is kept, so that the two are
+    never in memory together; the next solve passes the held model again
+    and starts from that basis.
+    """
+
+    def __init__(self, backend: SolverBackend = DEFAULT_BACKEND):
+        self.backend = backend
+        self._model = None  # the model the instance holds
+        self._highs = None  # None before the first solve and during branch-and-bound
+        self._basis = None  # the basis the instance had when it was given up
+
+    def solve(self, model: ModelInstance) -> ScheduleSolution:
+        """Solve the model as solve() does, from the last run's basis if any.
+
+        The flexibility and, for a cost model, the cost are decoded;
+        statuses, limits and stats are solve()'s.
+        """
+        start = "cold" if self._model is None else "warm"
+        self._hold(model)
+        backend = self.backend
+        is_mip = model.n_binary > 0
+        highs_status, info, values, seconds = _run_highs(model, backend, relax=is_mip,
+                                                         held=self._highs)
+        status = _STATUS.get(highs_status.name, "error")
+        run, iterations = "lp", 0
+        if is_mip:
+            run = "relaxation"
+            proved = status == "infeasible" or (status == "optimal" and _integral(model, values))
+            if not proved:
+                run, iterations = "branch-and-bound", max(info.simplex_iteration_count, 0)
+                self._basis, self._highs = self._highs.getBasis(), None
+                limited = replace(backend, time_limit_s=max(backend.time_limit_s - seconds, 0.0))
+                highs_status, info, values, milp_s = _run_highs(model, limited)
+                status = _STATUS.get(highs_status.name, "error")
+                seconds += milp_s
+        if not (status == "optimal" or (status == "limit" and run == "branch-and-bound")):
+            values = None
+        stats = _stats(model, info, run == "branch-and-bound", status, values is not None,
+                       iterations, seconds)
+        log.debug("%s solve: %d columns, %d rows, %d nonzeros, %d binaries; %s by %s, "
+                  "%d iterations, %d nodes, gap %s, %.3f s, %s start", model.kind,
+                  stats.columns, stats.rows, stats.nonzeros, stats.binaries, status, run,
+                  stats.iterations, stats.nodes, stats.gap, seconds, start)
+        if values is None:
+            return ScheduleSolution(status=status, mean_flex_kw=None, stats=stats)
+        return _decode(model, values, status, stats)
+
+    def _hold(self, model: ModelInstance) -> None:
+        """Make the instance hold the model's LP relaxation."""
+        if self._model is None:
+            self._highs = _new_highs(model, self.backend, relax=True)
+        else:
+            if self._highs is None:  # given up for branch-and-bound
+                self._highs = _new_highs(self._model, self.backend, relax=True)
+                if self._basis.valid:
+                    _check(self._highs.setBasis(self._basis), "the basis")
+            self._extend(model)
+        self._model = model
+
+    def _extend(self, model: ModelInstance) -> None:
+        """Send the held instance what the model changes and appends."""
+        held, h = self._model, self._highs
+        n0, m0 = held.n_vars, held.n_rows
+        n, m = model.n_vars, model.n_rows
+        a = model.a_matrix.tocsr()
+        if n < n0 or m < m0 or (a[:m0, :n0] != held.a_matrix).nnz:
+            raise ValueError(f"{model!r} does not extend the held {held!r}")
+        cost = _min_cost(model)
+        cols = np.flatnonzero(cost[:n0] != _min_cost(held)).astype(np.int32)
+        if cols.size:
+            _check(h.changeColsCost(cols.size, cols, cost[cols]), "the costs")
+        cols = np.flatnonzero((model.var_lb[:n0] != held.var_lb)
+                              | (model.var_ub[:n0] != held.var_ub)).astype(np.int32)
+        if cols.size:
+            _check(h.changeColsBounds(cols.size, cols, model.var_lb[cols], model.var_ub[cols]),
+                   "the column bounds")
+        for r in np.flatnonzero((model.row_lb[:m0] != held.row_lb)
+                                | (model.row_ub[:m0] != held.row_ub)).tolist():
+            _check(h.changeRowBounds(r, model.row_lb[r], model.row_ub[r]), "the row bounds")
+        # rows first, with their entries on the held columns; then the
+        # columns, with all of theirs
+        if m > m0:
+            rows = a[m0:, :n0]
+            _check(h.addRows(m - m0, model.row_lb[m0:], model.row_ub[m0:], rows.nnz,
+                             rows.indptr[:-1].astype(np.int32), rows.indices.astype(np.int32),
+                             rows.data), "the new rows")
+        if n > n0:
+            new = a[:, n0:].tocsc()
+            _check(h.addCols(n - n0, cost[n0:], model.var_lb[n0:], model.var_ub[n0:], new.nnz,
+                             new.indptr[:-1].astype(np.int32), new.indices.astype(np.int32),
+                             new.data), "the new columns")
+
+
 def solve(model: ModelInstance, backend: SolverBackend = DEFAULT_BACKEND) -> ScheduleSolution:
     """Solve a model and decode its flexibility and, for a cost model, its cost.
 
-    A model with binaries is solved as its LP relaxation first. An optimal
-    relaxation whose integer columns are all integral within HiGHS's MIP
-    feasibility tolerance is returned as the MILP optimum, with no nodes and
-    gap 0.0; an infeasible one proves the MILP infeasible. Any other
-    relaxation outcome runs the MILP with the time the relaxation left of
-    backend.time_limit_s, and the stats count both runs. An LP and a
-    relaxation have no time limit.
+    This is the first solve of a fresh CellSolver. A model with binaries is
+    solved as its LP relaxation first. An optimal relaxation whose integer
+    columns are all integral within HiGHS's MIP feasibility tolerance is
+    returned as the MILP optimum, with no nodes and gap 0.0; an infeasible
+    one proves the MILP infeasible. Any other relaxation outcome runs the
+    MILP with the time the relaxation left of backend.time_limit_s, and the
+    stats count both runs. An LP and a relaxation have no time limit.
 
     Infeasible, unbounded, limit and error statuses are propagated on the
     returned solution; a limit is decoded only for a model with binaries
@@ -116,30 +250,7 @@ def solve(model: ModelInstance, backend: SolverBackend = DEFAULT_BACKEND) -> Sch
     for its values. A cost minimization is infeasible only when its target
     exceeds the flexibility optimum.
     """
-    is_mip = model.n_binary > 0
-    highs_status, info, values, seconds = _run_highs(model, backend, relax=is_mip)
-    status = _STATUS.get(highs_status.name, "error")
-    run, iterations = "lp", 0
-    if is_mip:
-        run = "relaxation"
-        proved = status == "infeasible" or (status == "optimal" and _integral(model, values))
-        if not proved:
-            run, iterations = "branch-and-bound", max(info.simplex_iteration_count, 0)
-            limited = replace(backend, time_limit_s=max(backend.time_limit_s - seconds, 0.0))
-            highs_status, info, values, milp_s = _run_highs(model, limited)
-            status = _STATUS.get(highs_status.name, "error")
-            seconds += milp_s
-    if not (status == "optimal" or (status == "limit" and run == "branch-and-bound")):
-        values = None
-    stats = _stats(model, info, run == "branch-and-bound", status, values is not None,
-                   iterations, seconds)
-    log.debug("%s solve: %d columns, %d rows, %d nonzeros, %d binaries; %s by %s, "
-              "%d iterations, %d nodes, gap %s, %.3f s", model.kind, stats.columns,
-              stats.rows, stats.nonzeros, stats.binaries, status, run, stats.iterations,
-              stats.nodes, stats.gap, seconds)
-    if values is None:
-        return ScheduleSolution(status=status, mean_flex_kw=None, stats=stats)
-    return _decode(model, values, status, stats)
+    return CellSolver(backend).solve(model)
 
 
 def _integral(model: ModelInstance, values: np.ndarray) -> bool:
@@ -184,8 +295,9 @@ def _decode(model: ModelInstance, values: np.ndarray, status: str,
     mean_flex = float(sustained.mean()) if sustained.size else 0.0
     if model.kind != "costmin":
         return ScheduleSolution(status=status, mean_flex_kw=mean_flex, stats=stats)
-    # every job's price cost in job order: ids need not be unique
-    price_cost = float(sum(values[meta["c_col"]].tolist()))
+    # every job's price cost in job order (ids need not be unique), clamped
+    # to its lower bound 0 as the sustained values are
+    price_cost = float(sum(np.maximum(values[meta["c_col"]], 0.0).tolist()))
     extra_cost = 0.0
     if meta["dq"].enabled:
         p0, T = meta["p0"], meta["T"]

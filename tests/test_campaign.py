@@ -1,9 +1,11 @@
 import contextlib
 import importlib
+import logging
+import re
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,10 +23,11 @@ from dcflex.campaign import (
     sample_activations,
     service_grid,
 )
-from dcflex.model import DataCenterSpec, JobTable, ServiceSpec, TimeGrid
-from dcflex.preprocess import baseline_profile
-from dcflex.problem import DqParams, build_costmin, build_flexmax
-from dcflex.solve import DEFAULT_BACKEND, solve
+from dcflex.model import DataCenterSpec, EconParams, JobTable, ServiceSpec, TimeGrid
+from dcflex.preprocess import baseline_profile, discretize, zero_queue
+from dcflex.problem import NO_DQ, DqParams, build_costmin, build_flexmax
+from dcflex.solve import DEFAULT_BACKEND, CellSolver, solve
+from dcflex.synth import generate_synthetic_trace
 
 from conftest import ECON, TINY_GRID, tiny_a_jobs, tiny_a_spec, tiny_b_jobs, tiny_b_spec
 
@@ -222,6 +225,7 @@ def test_quota_cost_cell_at_zero_delay_solves_one_lp(monkeypatch):
     result = run_costmin_campaign(jobs, spec, ECON, TINY_GRID, services, [0.0], [1.0],
                                   dq=dq, master_seed=seed)
     assert counts["build_flexmax"] == 1 and counts["build_costmin"] == 1
+    assert counts["without_delay"] == 0 and counts["solve"] == 2
     monkeypatch.undo()
 
     # the cell as it reads with the zero-delay LP solved on its own
@@ -349,26 +353,29 @@ def test_costmin_campaign_worker_count_invariance():
                                                   rel=1e-12)
 
 
-LAYER_NAMES = ("build_flexmax", "build_costmin", "solve", "sample_activations",
-               "partition_to_horizon", "aggregate_daily", "baseline_profile")
+LAYER_NAMES = ("build_flexmax", "build_costmin", "retarget", "without_delay",
+               "sample_activations", "partition_to_horizon", "aggregate_daily",
+               "baseline_profile")
 
 
 def _count_layer_calls(monkeypatch) -> Counter:
-    """Count the calls made through the names a per-layer tracer patches."""
+    """Count the calls made through the names the campaign imports, the
+    models its CellSolvers solve (as `solve`) and the HiGHS runs."""
     counts = Counter()
 
-    def count(module, name):
-        fn = getattr(module, name)
+    def count(owner, name, as_name=None):
+        fn = getattr(owner, name)
 
         def counted(*args, **kwargs):
-            counts[name] += 1
+            counts[as_name or name] += 1
             if kwargs.get("relax"):  # the LP relaxation solve() runs before a MILP
                 counts["relaxation"] += 1
             return fn(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(owner, name, counted)
 
     for name in LAYER_NAMES:
         count(campaign, name)
+    count(CellSolver, "solve", "solve")
     count(importlib.import_module("dcflex.solve"), "_run_highs")
     return counts
 
@@ -384,16 +391,19 @@ def test_campaign_calls_each_layer_through_its_module_name(monkeypatch):
                              sample_activations=cells, partition_to_horizon=2,
                              aggregate_daily=2, baseline_profile=2)
 
-    # under dynamic quota every cell adds its zero-delay LP, and each
-    # fraction but the degenerate 0.0 one adds a cost solve. Horizon 1's four
-    # cost models have binaries: each is solved as its LP relaxation first,
-    # and the three whose relaxation is fractional go on to branch-and-bound
+    # under dynamic quota every cell adds the zero-delay restriction of its
+    # LP, and each fraction but the degenerate 0.0 one adds a cost solve: the
+    # cost model is built once, at fraction 1.0, and retargeted to 0.5.
+    # Horizon 1's four cost models have binaries: each is solved as its LP
+    # relaxation first, and the three whose relaxation is fractional go on
+    # to branch-and-bound
     counts.clear()
     result = run_costmin_campaign(jobs, spec, ECON, grid, services, delays,
                                   [0.0, 0.5, 1.0], dq=DqParams(True, 0.5), master_seed=5)
     assert [c.degenerate for c in result.cells.values()] == [True, False, False] * 2
-    assert counts == Counter(build_flexmax=2 * cells, build_costmin=2 * cells,
-                             solve=4 * cells, _run_highs=4 * cells + 3, relaxation=4,
+    assert counts == Counter(build_flexmax=cells, without_delay=cells, build_costmin=cells,
+                             retarget=cells, solve=4 * cells, _run_highs=4 * cells + 3,
+                             relaxation=4,
                              sample_activations=cells, partition_to_horizon=2,
                              aggregate_daily=2, baseline_profile=2)
     # horizon 2 holds only the pad job, whose cost model has no binaries: its
@@ -430,13 +440,16 @@ def test_mixed_fractions_give_the_pair_of_campaigns_with_fewer_lps(monkeypatch):
     counts = _count_layer_calls(monkeypatch)
     both = run_campaign(jobs, spec, ECON, grid, services, [0.5], [None, 1.0], dq=dq,
                         master_seed=5)
-    # one flexibility LP and one zero-delay LP per pair, shared by both cells
-    assert counts["build_flexmax"] == 2 * pairs
+    # one flexibility LP and one zero-delay restriction of it per pair,
+    # shared by both cells
+    assert counts["build_flexmax"] == counts["without_delay"] == pairs
+    assert counts["solve"] == 3 * pairs
     counts.clear()
     flex = run_flexmax_campaign(jobs, spec, grid, services, [0.5], dq=dq, master_seed=5)
     cost = run_costmin_campaign(jobs, spec, ECON, grid, services, [0.5], [1.0], dq=dq,
                                 master_seed=5)
-    assert counts["build_flexmax"] == 3 * pairs
+    assert counts["build_flexmax"] == 2 * pairs and counts["without_delay"] == pairs
+    assert counts["solve"] == 4 * pairs
     assert both.kind == cost.kind == "costmin"
     assert both.to_json_dict()["cells"] == {**flex.to_json_dict()["cells"],
                                             **cost.to_json_dict()["cells"]}
@@ -446,10 +459,140 @@ def test_mixed_fractions_give_the_pair_of_campaigns_with_fewer_lps(monkeypatch):
     counts.clear()
     econ_given = run_campaign(jobs, spec, ECON, grid, services, [0.5], [None], dq=dq,
                               master_seed=5)
-    assert counts["build_flexmax"] == pairs
+    assert counts["build_flexmax"] == counts["solve"] == pairs
+    assert counts["without_delay"] == 0
     assert econ_given.to_json() == flex.to_json()
     with pytest.raises(ValueError, match="EconParams"):
         run_campaign(jobs, spec, None, grid, services, [0.5], [None, 1.0])
+
+
+def _general_like(days):
+    """Criterion 10's spec, grid, seed-0 general_like trace and service."""
+    spec = DataCenterSpec(total_resources=100.0, unit_power_kw=1.0, fixed_power_kw=0.0,
+                          preempt_overhead_min=0.5, preempt_budget_frac=0.01,
+                          max_delay_frac=0.2, device_class="cpu_general")
+    grid = TimeGrid(15, 960)
+    table = discretize(zero_queue(generate_synthetic_trace("general_like", days, 0, grid,
+                                                           spec)), grid)
+    return table, spec, grid, service_grid([0.25], [365.0], grid)
+
+
+@contextlib.contextmanager
+def _solve_log():
+    """The messages of the `dcflex.solve` DEBUG records while active."""
+    messages = []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("dcflex.solve")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def _run_and_start(message) -> tuple:
+    return re.search(r" by (\S+),.* (\w+) start$", message).groups()
+
+
+@pytest.fixture(scope="module")
+def warm_and_cold():
+    """Criterion 10's cost campaign with and without quota, replayed cold.
+
+    Per quota setting: the cells at fractions (0.9, 1.0) and at (1.0, 0.9),
+    and per model a CellSolver solved in the second run, in order, (warm
+    solution, run, start, cold solution, run), the cold ones from solve()
+    on that model.
+    """
+    table, spec, grid, services = _general_like(20)
+    out = {}
+    for dq in (DqParams(True, 0.5), NO_DQ):
+        solved = []
+
+        class Recording(CellSolver):
+            def solve(self, model):
+                solution = super().solve(model)
+                solved.append((model, solution))
+                return solution
+
+        cells = []
+        for fractions in ([0.9, 1.0], [1.0, 0.9]):
+            solved.clear()
+            with pytest.MonkeyPatch.context() as patch, _solve_log() as messages:
+                patch.setattr(campaign, "CellSolver", Recording)
+                result = run_costmin_campaign(table, spec, EconParams(), grid, services,
+                                              [0.2], fractions, dq=dq, master_seed=11)
+            cells.append(result.to_json_dict()["cells"])
+        warm = [_run_and_start(m) for m in messages]
+        with _solve_log() as messages:
+            cold = [solve(model) for model, _ in solved]
+        replay = [(w, run, start, c, _run_and_start(m)[0])
+                  for (_, w), (run, start), c, m in zip(solved, warm, cold, messages)]
+        out[dq.enabled] = cells, replay
+    return out
+
+
+@pytest.mark.parametrize("quota", [True, False])
+def test_warm_cell_solves_agree_with_cold_solves(warm_and_cold, quota):
+    _, replay = warm_and_cold[quota]
+    # per horizon: the LP, under quota its zero-delay restriction, then the
+    # cost relaxations at 1.0 and 0.9, the first from a cold start
+    per_cell = 4 if quota else 3
+    assert len(replay) == 2 * per_cell
+    assert [start for _, _, start, _, _ in replay] == (["cold"] + ["warm"] * (per_cell - 1)) * 2
+    for i, (warm, run, _, cold, cold_run) in enumerate(replay):
+        assert (warm.status, run) == (cold.status, cold_run), i
+        assert warm.ok, i
+        for name in ("mean_flex_kw", "total_cost", "extra_energy_cost"):
+            value = getattr(warm, name)
+            assert value == pytest.approx(getattr(cold, name), rel=1e-9, abs=1e-12), (i, name)
+    # quota cost cells are proved by their relaxation, the others branch
+    runs = {run for _, run, *_ in replay[per_cell - 2::per_cell]}
+    assert runs == ({"relaxation"} if quota else {"branch-and-bound"})
+
+
+@pytest.mark.parametrize("quota", [True, False])
+def test_fraction_order_does_not_change_the_cells(warm_and_cold, quota):
+    (descending, ascending), _ = warm_and_cold[quota]
+    assert descending == ascending
+    assert all(cell["statuses"] == ["optimal", "optimal"] for cell in descending.values())
+
+
+def test_warm_solves_take_fewer_iterations_than_cold(warm_and_cold):
+    # single-threaded HiGHS repeats its iteration counts exactly: 18594
+    # against 23657 when this was written
+    _, replay = warm_and_cold[True]
+    warm = sum(w.stats.iterations for w, *_ in replay)
+    cold = sum(c.stats.iterations for *_, c, _ in replay)
+    assert warm < cold
+
+
+def test_failed_zero_delay_lp_leaves_a_valid_quota_bound(monkeypatch, caplog):
+    table, spec, grid, services = _general_like(10)
+    dq, econ = DqParams(True, 0.5), EconParams()
+    args = (table, spec, econ, grid, services, [0.2], [1.0])
+    sound = run_costmin_campaign(*args, dq=dq, master_seed=11).cell(0.25, 365.0, 0.2, 1.0)
+    # no job may run: the restricted LP is infeasible
+    monkeypatch.setattr(campaign, "without_delay", lambda model, jobs: replace(
+        model, var_ub=np.zeros_like(model.var_ub)))
+    with caplog.at_level(logging.WARNING, logger="dcflex.campaign"):
+        failed = run_costmin_campaign(*args, dq=dq, master_seed=11).cell(0.25, 365.0, 0.2, 1.0)
+    assert "the zero-delay LP ended infeasible" in caplog.text
+    assert failed.statuses == sound.statuses == ("optimal",)
+    assert failed.acof == pytest.approx(sound.acof, rel=1e-9)
+
+    # the stand-in S_a = 0 that a failed LP used to get overstates the bound,
+    # and the bound row cuts off the optimum
+    part, base = campaign._prepare_horizon(table, spec, grid, 1, 11, 100, True)
+    plan = campaign._cell_plan(grid, services[0], 0.2, 1, 11)
+    target = sound.mean_flex_kw
+    cut = solve(build_costmin(part, spec.with_max_delay(0.2), econ, base, plan, target,
+                              dq=dq, zero_delay_flex_kw=0.0))
+    shifted_kwh = grid.step_hours * plan.count * plan.duration_steps * target
+    assert cut.total_cost / shifted_kwh > 5 * sound.acof
 
 
 def test_bench_output_checks_accept_campaign_results():

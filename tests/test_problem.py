@@ -7,8 +7,16 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import sparse
 
-from dcflex.model import ActivationPlan, JobTable, TimeGrid, round_half_away
-from dcflex.preprocess import baseline_profile
+from dcflex import campaign
+from dcflex.model import (
+    ActivationPlan,
+    DataCenterSpec,
+    JobTable,
+    ServiceSpec,
+    TimeGrid,
+    round_half_away,
+)
+from dcflex.preprocess import baseline_profile, discretize, zero_queue
 from dcflex.problem import (
     DqParams,
     ModelBuildError,
@@ -16,10 +24,13 @@ from dcflex.problem import (
     available_window,
     build_costmin,
     build_flexmax,
+    retarget,
     tightening_bound,
     to_lp_text,
+    without_delay,
 )
-from dcflex.solve import DEFAULT_BACKEND, SolverBackend, _run_highs, solve
+from dcflex.solve import DEFAULT_BACKEND, CellSolver, SolverBackend, _run_highs, solve
+from dcflex.synth import generate_synthetic_trace
 
 from conftest import ECON, random_instance, random_plan, tiny_a_spec
 
@@ -589,3 +600,73 @@ def test_array_assembly_matches_reference_on_build_errors():
         build_flexmax(jobs, spec, base, plan)
     assert str(got.value) == str(ref.value)
     assert list(got.value.job_errors.items()) == list(ref.value.job_errors.items())
+
+
+def _same_arrays(model, other):
+    for name in ("var_lb", "var_ub", "row_lb", "row_ub", "obj", "integrality"):
+        assert getattr(model, name).tobytes() == getattr(other, name).tobytes(), name
+    assert (model.a_matrix != other.a_matrix).nnz == 0
+    assert (model.kind, model.sense, model.obj_const) == (other.kind, other.sense,
+                                                         other.obj_const)
+
+
+def test_retarget_gives_the_cost_model_built_at_the_target(tiny_a):
+    jobs, spec, base, plan = tiny_a
+    for dq, s_zero in ((DqParams(False, 0.5), None), (DqParams(True, 0.5), 1.0)):
+        first = build_costmin(jobs, spec, ECON, base, plan, 2.0, dq=dq,
+                              zero_delay_flex_kw=s_zero)
+        # targets above and below S_a, where the quota bound is 0
+        for target in (1.5, 0.5, 0.0):
+            built = build_costmin(jobs, spec, ECON, base, plan, target, dq=dq,
+                                  zero_delay_flex_kw=s_zero)
+            _same_arrays(retarget(first, spec, plan, target, s_zero), built)
+        assert first.row_lb[-1] > 0.0  # the first model's bound was not 0
+
+
+def _budgeted(model) -> set:
+    """The jobs that carry a preemption counter in the model."""
+    return {int(j) for name, _, index, *_ in model.families[0] if name == "np"
+            for j in index[0]}
+
+
+def _assert_zero_delay_restriction(jobs, spec, base, plan, dq, delay):
+    """without_delay at the delay has the optimum of the LP built at delay 0,
+    solved cold and on the CellSolver that solved the LP."""
+    flex = build_flexmax(jobs, spec.with_max_delay(delay), base, plan, dq)
+    zero = build_flexmax(jobs, spec.with_max_delay(0.0), base, plan, dq)
+    expected = solve(zero).mean_flex_kw
+    cell = CellSolver()
+    assert cell.solve(flex).ok
+    for sol in (cell.solve(without_delay(flex, jobs)), solve(without_delay(flex, jobs))):
+        assert sol.ok and sol.mean_flex_kw == pytest.approx(expected, rel=1e-9, abs=1e-12)
+    return flex, zero, expected
+
+
+def test_zero_delay_restriction_on_tiny_b(tiny_b):
+    jobs, spec, base, plan = tiny_b
+    flex, _, expected = _assert_zero_delay_restriction(jobs, spec, base, plan,
+                                                       DqParams(True, 0.5), 1.0)
+    # quota shifts 0.5 kW without any delay (criterion 06), and the delay
+    # adds to it
+    assert expected == pytest.approx(0.5, abs=1e-9)
+    assert solve(flex).mean_flex_kw > expected + 0.1
+
+
+@pytest.mark.parametrize("delay", [0.2, 0.5])
+def test_zero_delay_restriction_on_a_general_like_horizon(delay):
+    spec = DataCenterSpec(total_resources=100.0, unit_power_kw=1.0, fixed_power_kw=0.0,
+                          preempt_overhead_min=0.5, preempt_budget_frac=0.01,
+                          max_delay_frac=0.2, device_class="cpu_general")
+    grid = TimeGrid(15, 960)
+    table = discretize(zero_queue(generate_synthetic_trace("general_like", 20, 0, grid,
+                                                           spec)), grid)
+    part, base = campaign._prepare_horizon(table, spec, grid, 1, 11, 100, True)
+    svc = ServiceSpec.from_requirements(0.25, 365.0, grid)
+    plan = campaign._cell_plan(grid, svc, delay, 1, 11)
+    # at K = 0.25 a job idles at most D/5 steps at delay 0, below its cap of
+    # 0.3 D preemptions, and up to (0.2 + delay) D at the delay
+    flex, zero, _ = _assert_zero_delay_restriction(part, spec, base, plan,
+                                                   DqParams(True, 0.25), delay)
+    # jobs whose counter rows the restriction keeps but the zero-delay LP
+    # does not have
+    assert _budgeted(zero) < _budgeted(flex)

@@ -12,6 +12,7 @@ from dcflex.problem import DqParams, build_costmin, build_flexmax
 from dcflex.solve import (
     _INTEGER_TOL,
     DEFAULT_BACKEND,
+    CellSolver,
     _decode,
     _run_highs,
     solve,
@@ -278,8 +279,8 @@ def _count_runs(monkeypatch) -> list:
     """Record (relax, time limit, result) of every _run_highs call."""
     runs = []
 
-    def counted(model, backend, relax=False):
-        result = _run_highs(model, backend, relax)
+    def counted(model, backend, relax=False, held=None):
+        result = _run_highs(model, backend, relax, held)
         runs.append((relax, backend.time_limit_s, result))
         return result
     monkeypatch.setattr(solve_module, "_run_highs", counted)
@@ -372,8 +373,9 @@ def test_highs_status_by_name(monkeypatch, tiny_a, name):
     solved = {(kind, relax): _run_highs(model, DEFAULT_BACKEND, relax)
               for kind, model in models.items() for relax in (False, True)}
     # the cost model's relaxation and its MILP both end in the status
-    monkeypatch.setattr(solve_module, "_run_highs", lambda model, backend, relax=False: (
-        HighsModelStatus.__members__[name],) + solved[model.kind, relax][1:])
+    monkeypatch.setattr(solve_module, "_run_highs", lambda model, backend, relax=False,
+                        held=None: (HighsModelStatus.__members__[name],)
+                        + solved[model.kind, relax][1:])
     expected = _BY_NAME.get(name, "error")
     for kind, model in models.items():
         sol = solve(model)
@@ -389,7 +391,18 @@ def test_limit_without_incumbent_has_no_values(monkeypatch, tiny_a):
     model = build_costmin(jobs, spec, ECON, base, plan, 2.0)
     _, info, _, seconds = _run_highs(model, DEFAULT_BACKEND)
     # the relaxation proves nothing and the MILP stops without an incumbent
-    monkeypatch.setattr(solve_module, "_run_highs", lambda model, backend, relax=False: (
-        HighsModelStatus.kTimeLimit, info, None, seconds))
+    monkeypatch.setattr(solve_module, "_run_highs", lambda model, backend, relax=False,
+                        held=None: (HighsModelStatus.kTimeLimit, info, None, seconds))
     sol = solve(model)
     assert sol.status == "limit" and sol.total_cost is None and sol.mean_flex_kw is None
+
+
+def test_cell_solver_takes_only_models_that_extend_the_held_one(tiny_a):
+    jobs, spec, base, plan = tiny_a
+    cell = CellSolver()
+    assert cell.solve(build_flexmax(jobs, spec, base, plan, DqParams(True, 0.5))).ok
+    # fewer columns, then the same shape with other completion coefficients
+    for other in (build_flexmax(jobs, spec.with_max_delay(0.0), base, plan),
+                  build_flexmax(jobs, spec, base, plan, DqParams(True, 0.25))):
+        with pytest.raises(ValueError, match="does not extend"):
+            cell.solve(other)
