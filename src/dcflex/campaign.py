@@ -14,13 +14,13 @@ alone decides its kind, its econ echo and whether the quota model's
 zero-delay LP is solved. A horizon that raises is recorded as `error` on
 each of its cells.
 
-Each (horizon, service, delay) gets one CellSolver: the flexibility LP is
-its cold first solve, exactly as solve() would do it, so flexibility cells
-keep their bits. Under quota with cost cells, the zero-delay LP is that LP
-with the late x and xdq columns fixed at 0 (problem.without_delay). The
-cost model extends the LP by rows and columns; it is built once, at the
-largest fraction, and moved to each smaller one by its target and bound
-rows (problem.retarget). Every solve after the first starts warm.
+Each (horizon, service, delay) gets two CellSolvers in turn, each with a
+cold first solve, exactly as solve() would do it. The first solves the
+flexibility LP and, under quota with cost cells, the zero-delay LP: that
+LP with the late x and xdq columns fixed at 0 (problem.without_delay),
+warm. The second solves the cost model, built once, at the largest
+fraction, and moved to each smaller one by its target and bound rows
+(problem.retarget), warm.
 
 Determinism: every random draw is seeded from
 hash(master_seed, horizon_index, cell_key), so results are bit-identical
@@ -268,9 +268,10 @@ def _horizon_records(h, table, spec, econ, grid, services, delays, fractions, dq
 
     Fraction None records the LP optimum itself; a number records the cost
     MILP at that share of the optimum, or a degenerate zero-cost cell. Per
-    service and delay one CellSolver solves the LP, its zero-delay
-    restriction and the cost relaxations, at the fractions from the largest
-    down, so the records do not depend on the order of the fractions.
+    service and delay one CellSolver solves the LP and its zero-delay
+    restriction, and then another the cost models, at the fractions from
+    the largest down, so the records do not depend on the order of the
+    fractions.
     """
     part, base = _prepare_horizon(table, spec, grid, h, master_seed,
                                   clusters_per_day, aggregate)
@@ -305,6 +306,9 @@ def _horizon_records(h, table, spec, econ, grid, services, delays, fractions, dq
                                     "cost bound is taken as 0", h,
                                     CellKey(svc.duration_hours, svc.annual_frequency,
                                             delay).text(), zd.status)
+            # the cost model has more rows and columns than the LP: it starts
+            # cold, and the LP's instance goes with the rebinding
+            cell = CellSolver(backend)
             solved, cost = {}, None
             for frac in (costed if s_max is not None else ()):
                 target = frac * s_max

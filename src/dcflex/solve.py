@@ -9,13 +9,16 @@ binding, which is used in this module and nowhere else; the public
 reads. Single-threaded HiGHS is deterministic, so the same sequence of
 models produces identical solutions regardless of scheduling.
 
-A `CellSolver` keeps one HiGHS instance across models that extend each
-other. Its first model is solved from scratch with presolve (a cold
-start); each later one is sent as the changed costs and bounds and the
-appended rows and columns, and HiGHS's dual simplex re-solves from the
-last basis, skipping presolve (a warm start). A campaign cell so solves its
-flexibility LP, the zero-delay restriction of it and its cost relaxation
-at each fraction. `solve(model)` is the first solve of a fresh CellSolver.
+A `CellSolver` keeps one HiGHS instance across models that differ only in
+their column and row bounds, as `problem.without_delay` and
+`problem.retarget` make them. Its first model is solved from scratch with
+presolve (a cold start); each later one is sent as its changed bounds, and
+HiGHS's dual simplex re-solves from the last basis, skipping presolve (a
+warm start). A model with more rows or columns does better cold, through
+presolve, than from a smaller one's basis. A campaign cell so solves its
+flexibility LP and its zero-delay restriction on one CellSolver, and its
+cost relaxation at each fraction on another. `solve(model)` is the first
+solve of a fresh CellSolver.
 
 A model with binaries is first solved as its LP relaxation, on the held
 instance. When that LP is optimal and every integer column lies within
@@ -91,16 +94,12 @@ def _new_highs(model: ModelInstance, backend: SolverBackend, relax: bool):
     # a full-length integrality array even for an LP (an empty one is read
     # past its end), and HiGHS solves an all-zero one as an LP
     h.passModel(model.n_vars, model.n_rows, a.nnz, int(highs.MatrixFormat.kColwise),
-                int(highs.ObjSense.kMinimize), 0.0, _min_cost(model),
+                int(highs.ObjSense.kMinimize), 0.0,
+                model.obj if model.sense == "min" else -model.obj,
                 model.var_lb, model.var_ub, model.row_lb, model.row_ub,
                 a.indptr, a.indices, a.data,
                 np.zeros_like(model.integrality) if relax else model.integrality)
     return h
-
-
-def _min_cost(model: ModelInstance) -> np.ndarray:
-    """The objective HiGHS minimizes for the model."""
-    return model.obj if model.sense == "min" else -model.obj
 
 
 def _run_highs(model: ModelInstance, backend: SolverBackend, relax: bool = False,
@@ -132,17 +131,16 @@ def _check(status, what):
 
 
 class CellSolver:
-    """One HiGHS instance, re-solved warm across models that extend each other.
+    """One HiGHS instance, re-solved warm across models that differ in bounds.
 
     The first solve passes its model whole, as solve() does. Each later
-    model must have the held model's columns and rows, with the same matrix
-    entries, as its leading ones (ValueError otherwise). Its costs and
-    bounds may differ, and rows and columns may follow. The instance holds
-    LPs only: a MILP's relaxation runs on it, its branch-and-bound on a
-    fresh instance of the whole model. While branch-and-bound runs, the held
-    instance is given up and only its basis is kept, so that the two are
-    never in memory together; the next solve passes the held model again
-    and starts from that basis.
+    model must have the held model's matrix, objective and sense
+    (ValueError otherwise); its column and row bounds may differ. The
+    instance holds LPs only: a MILP's relaxation runs on it, its
+    branch-and-bound on a fresh instance of the whole model. While
+    branch-and-bound runs, the held instance is given up and only its basis
+    is kept, so that the two are never in memory together; the next solve
+    passes its own model whole and starts from that basis.
     """
 
     def __init__(self, backend: SolverBackend = DEFAULT_BACKEND):
@@ -189,48 +187,32 @@ class CellSolver:
 
     def _hold(self, model: ModelInstance) -> None:
         """Make the instance hold the model's LP relaxation."""
-        if self._model is None:
+        held = self._model
+        if held is not None and not _same_lp(model, held):
+            raise ValueError(f"{model!r} differs from the held {held!r} in more than "
+                             "its bounds")
+        if self._highs is None:  # the first solve, or given up for branch-and-bound
             self._highs = _new_highs(model, self.backend, relax=True)
+            if self._basis is not None and self._basis.valid:
+                _check(self._highs.setBasis(self._basis), "the basis")
         else:
-            if self._highs is None:  # given up for branch-and-bound
-                self._highs = _new_highs(self._model, self.backend, relax=True)
-                if self._basis.valid:
-                    _check(self._highs.setBasis(self._basis), "the basis")
-            self._extend(model)
+            h = self._highs
+            cols = np.flatnonzero((model.var_lb != held.var_lb)
+                                  | (model.var_ub != held.var_ub)).astype(np.int32)
+            if cols.size:
+                _check(h.changeColsBounds(cols.size, cols, model.var_lb[cols],
+                                          model.var_ub[cols]), "the column bounds")
+            for r in np.flatnonzero((model.row_lb != held.row_lb)
+                                    | (model.row_ub != held.row_ub)).tolist():
+                _check(h.changeRowBounds(r, model.row_lb[r], model.row_ub[r]), "the row bounds")
         self._model = model
 
-    def _extend(self, model: ModelInstance) -> None:
-        """Send the held instance what the model changes and appends."""
-        held, h = self._model, self._highs
-        n0, m0 = held.n_vars, held.n_rows
-        n, m = model.n_vars, model.n_rows
-        a = model.a_matrix.tocsr()
-        if n < n0 or m < m0 or (a[:m0, :n0] != held.a_matrix).nnz:
-            raise ValueError(f"{model!r} does not extend the held {held!r}")
-        cost = _min_cost(model)
-        cols = np.flatnonzero(cost[:n0] != _min_cost(held)).astype(np.int32)
-        if cols.size:
-            _check(h.changeColsCost(cols.size, cols, cost[cols]), "the costs")
-        cols = np.flatnonzero((model.var_lb[:n0] != held.var_lb)
-                              | (model.var_ub[:n0] != held.var_ub)).astype(np.int32)
-        if cols.size:
-            _check(h.changeColsBounds(cols.size, cols, model.var_lb[cols], model.var_ub[cols]),
-                   "the column bounds")
-        for r in np.flatnonzero((model.row_lb[:m0] != held.row_lb)
-                                | (model.row_ub[:m0] != held.row_ub)).tolist():
-            _check(h.changeRowBounds(r, model.row_lb[r], model.row_ub[r]), "the row bounds")
-        # rows first, with their entries on the held columns; then the
-        # columns, with all of theirs
-        if m > m0:
-            rows = a[m0:, :n0]
-            _check(h.addRows(m - m0, model.row_lb[m0:], model.row_ub[m0:], rows.nnz,
-                             rows.indptr[:-1].astype(np.int32), rows.indices.astype(np.int32),
-                             rows.data), "the new rows")
-        if n > n0:
-            new = a[:, n0:].tocsc()
-            _check(h.addCols(n - n0, cost[n0:], model.var_lb[n0:], model.var_ub[n0:], new.nnz,
-                             new.indptr[:-1].astype(np.int32), new.indices.astype(np.int32),
-                             new.data), "the new columns")
+
+def _same_lp(model: ModelInstance, held: ModelInstance) -> bool:
+    """Whether the model has the held one's matrix, objective and sense."""
+    a, b = model.a_matrix, held.a_matrix
+    return (model.sense == held.sense and np.array_equal(model.obj, held.obj)
+            and (a is b or (a.shape == b.shape and (a != b).nnz == 0)))
 
 
 def solve(model: ModelInstance, backend: SolverBackend = DEFAULT_BACKEND) -> ScheduleSolution:

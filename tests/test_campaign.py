@@ -25,7 +25,7 @@ from dcflex.campaign import (
 )
 from dcflex.model import DataCenterSpec, EconParams, JobTable, ServiceSpec, TimeGrid
 from dcflex.preprocess import baseline_profile, discretize, zero_queue
-from dcflex.problem import NO_DQ, DqParams, build_costmin, build_flexmax
+from dcflex.problem import NO_DQ, DqParams, build_costmin, build_flexmax, retarget
 from dcflex.solve import DEFAULT_BACKEND, CellSolver, solve
 from dcflex.synth import generate_synthetic_trace
 
@@ -538,11 +538,12 @@ def warm_and_cold():
 @pytest.mark.parametrize("quota", [True, False])
 def test_warm_cell_solves_agree_with_cold_solves(warm_and_cold, quota):
     _, replay = warm_and_cold[quota]
-    # per horizon: the LP, under quota its zero-delay restriction, then the
-    # cost relaxations at 1.0 and 0.9, the first from a cold start
+    # per horizon: the LP and, under quota, its zero-delay restriction on one
+    # CellSolver, then the cost models at 1.0 and 0.9 on another
     per_cell = 4 if quota else 3
     assert len(replay) == 2 * per_cell
-    assert [start for _, _, start, _, _ in replay] == (["cold"] + ["warm"] * (per_cell - 1)) * 2
+    starts = ["cold", "warm", "cold", "warm"] if quota else ["cold", "cold", "warm"]
+    assert [start for _, _, start, _, _ in replay] == starts * 2
     for i, (warm, run, _, cold, cold_run) in enumerate(replay):
         assert (warm.status, run) == (cold.status, cold_run), i
         assert warm.ok, i
@@ -561,8 +562,55 @@ def test_fraction_order_does_not_change_the_cells(warm_and_cold, quota):
     assert all(cell["statuses"] == ["optimal", "optimal"] for cell in descending.values())
 
 
+@pytest.mark.parametrize("quota", [True, False])
+def test_first_cost_solve_of_a_cell_is_a_cold_solve(warm_and_cold, quota):
+    _, replay = warm_and_cold[quota]
+    per_cell = 4 if quota else 3
+    for i in range(per_cell - 2, len(replay), per_cell):  # the cost model at 1.0
+        warm, run, start, cold, cold_run = replay[i]
+        assert (start, warm.status, run) == ("cold", cold.status, cold_run), i
+        assert warm.stats.iterations == cold.stats.iterations, i
+        for name in ("total_cost", "extra_energy_cost"):
+            assert getattr(warm, name).hex() == getattr(cold, name).hex(), (i, name)
+
+
+def test_fraction_after_branch_and_bound_starts_warm_on_a_new_instance(monkeypatch):
+    # criterion 10's first horizon without quota, whose cost model at 1.0
+    # goes to branch-and-bound: that gives up the held instance, so the
+    # model at 0.9 is passed whole to a new one that starts from the basis
+    table, spec, grid, services = _general_like(20)
+    part, base = campaign._prepare_horizon(table, spec, grid, 1, 11, 100, True)
+    plan = campaign._cell_plan(grid, services[0], 0.2, 1, 11)
+    spec_d = spec.with_max_delay(0.2)
+    s_max = solve(build_flexmax(part, spec_d, base, plan)).mean_flex_kw
+    cost = build_costmin(part, spec_d, EconParams(), base, plan, s_max)
+    moved = retarget(cost, spec_d, plan, 0.9 * s_max)
+    cell = CellSolver()
+    with _solve_log() as messages:
+        cell.solve(cost)
+    assert _run_and_start(messages[0]) == ("branch-and-bound", "cold")
+
+    solve_module = importlib.import_module("dcflex.solve")
+    made, new_highs = [], solve_module._new_highs
+
+    def recording(model, backend, relax):
+        made.append((model is moved, relax))
+        return new_highs(model, backend, relax)
+    monkeypatch.setattr(solve_module, "_new_highs", recording)
+    with _solve_log() as messages:
+        warm = cell.solve(moved)
+    assert made[0] == (True, True)  # the relaxation instance holds the new model
+    assert _run_and_start(messages[0])[1] == "warm"
+    monkeypatch.undo()
+    cold = solve(moved)
+    assert warm.status == cold.status == "optimal"
+    for name in ("mean_flex_kw", "total_cost", "extra_energy_cost"):
+        assert getattr(warm, name) == pytest.approx(getattr(cold, name), rel=1e-9,
+                                                    abs=1e-12), name
+
+
 def test_warm_solves_take_fewer_iterations_than_cold(warm_and_cold):
-    # single-threaded HiGHS repeats its iteration counts exactly: 18594
+    # single-threaded HiGHS repeats its iteration counts exactly: 15233
     # against 23657 when this was written
     _, replay = warm_and_cold[True]
     warm = sum(w.stats.iterations for w, *_ in replay)

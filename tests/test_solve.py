@@ -1,5 +1,6 @@
 import importlib
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from dcflex.model import ActivationPlan, JobTable
 from dcflex.preprocess import baseline_profile
-from dcflex.problem import DqParams, build_costmin, build_flexmax
+from dcflex.problem import DqParams, build_costmin, build_flexmax, retarget, without_delay
 from dcflex.solve import (
     _INTEGER_TOL,
     DEFAULT_BACKEND,
@@ -397,12 +398,33 @@ def test_limit_without_incumbent_has_no_values(monkeypatch, tiny_a):
     assert sol.status == "limit" and sol.total_cost is None and sol.mean_flex_kw is None
 
 
-def test_cell_solver_takes_only_models_that_extend_the_held_one(tiny_a):
+def _agree(got, expected):
+    assert got.status == expected.status
+    for name in ("mean_flex_kw", "total_cost", "extra_energy_cost"):
+        value, other = getattr(got, name), getattr(expected, name)
+        assert (value is None) == (other is None), name
+        if value is not None:
+            assert value == pytest.approx(other, rel=1e-9, abs=1e-12), name
+
+
+def test_cell_solver_takes_only_models_that_differ_in_bounds(tiny_a):
     jobs, spec, base, plan = tiny_a
     cell = CellSolver()
-    assert cell.solve(build_flexmax(jobs, spec, base, plan, DqParams(True, 0.5))).ok
-    # fewer columns, then the same shape with other completion coefficients
+    flex = build_flexmax(jobs, spec, base, plan, DqParams(True, 0.5))
+    assert cell.solve(flex).ok
+    # fewer columns, the same shape with other completion coefficients,
+    # another objective and another sense
     for other in (build_flexmax(jobs, spec.with_max_delay(0.0), base, plan),
-                  build_flexmax(jobs, spec, base, plan, DqParams(True, 0.25))):
-        with pytest.raises(ValueError, match="does not extend"):
+                  build_flexmax(jobs, spec, base, plan, DqParams(True, 0.25)),
+                  replace(flex, obj=2.0 * flex.obj), replace(flex, sense="min")):
+        with pytest.raises(ValueError, match="in more than its bounds"):
             cell.solve(other)
+    # a refused model leaves the instance as it was
+    _agree(cell.solve(without_delay(flex, jobs)), solve(without_delay(flex, jobs)))
+
+    cost = build_costmin(jobs, spec, ECON, base, plan, 2.0)
+    cell = CellSolver()
+    _agree(cell.solve(cost), solve(cost))
+    for target in (1.0, 0.5):
+        moved = retarget(cost, spec, plan, target)
+        _agree(cell.solve(moved), solve(moved))
