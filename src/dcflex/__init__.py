@@ -25,6 +25,7 @@ from .ingest import (
     parse_price_series,
     select_window,
     write_job_trace,
+    write_price_series,
 )
 from .preprocess import (
     aggregate_daily,
@@ -77,7 +78,7 @@ from .market import (
     price_percentile_table,
     profitability_report,
 )
-from .report import heatmap_export, load_grid_csv
+from .report import heatmap_export, load_grid_csv, write_grid_csv
 from .synth import generate_synthetic_trace
 
 __version__ = "0.1.0"

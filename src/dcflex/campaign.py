@@ -30,7 +30,6 @@ The worker count is deliberately left out of the echoed configuration.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import logging
@@ -43,6 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .ingest import json_text
 from .model import (
     ActivationPlan,
     DataCenterSpec,
@@ -115,6 +115,11 @@ class CellKey:
             base += f"_frac{self.flex_fraction!r}"
         return base
 
+    def sort_key(self) -> tuple:
+        """Output order: duration, frequency, delay, then fraction with None first."""
+        return (self.duration_hours, self.annual_frequency, self.max_delay_frac,
+                self.flex_fraction is not None, self.flex_fraction or 0.0)
+
 
 @dataclass
 class CellResult:
@@ -166,7 +171,7 @@ class CampaignResult:
         return {"kind": self.kind, "config": self.config, "cells": cells}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_json_dict())
 
     def write_json(self, path) -> None:
         Path(path).write_text(self.to_json())
@@ -191,25 +196,6 @@ class CampaignResult:
     @classmethod
     def read_json(cls, path) -> "CampaignResult":
         return cls.from_json_dict(json.loads(Path(path).read_text()))
-
-    def write_csv(self, path) -> None:
-        """Long-form CSV: duration_hours,annual_frequency,max_delay,flex_fraction,metric,value."""
-        with Path(path).open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(
-                ["duration_hours", "annual_frequency", "max_delay", "flex_fraction",
-                 "metric", "value"]
-            )
-            for key in sorted(self.cells, key=lambda k: (
-                    k.duration_hours, k.annual_frequency, k.max_delay_frac,
-                    -1.0 if k.flex_fraction is None else k.flex_fraction)):
-                cell = self.cells[key]
-                frac = "" if key.flex_fraction is None else repr(key.flex_fraction)
-                for metric, value in cell.metrics().items():
-                    writer.writerow([
-                        repr(key.duration_hours), repr(key.annual_frequency),
-                        repr(key.max_delay_frac), frac, metric, repr(float(value)),
-                    ])
 
 
 def horizon_count(table: JobTable, grid: TimeGrid) -> int:
@@ -429,19 +415,13 @@ def run_campaign(
     config = {
         "kind": kind,
         "master_seed": master_seed,
-        "grid": {"step_minutes": grid.step_minutes, "steps": grid.steps,
-                 "origin": grid.origin},
+        "grid": asdict(grid),
         # every cell is solved at its own delay from delays, not at the spec's
         "datacenter": {k: v for k, v in asdict(spec).items() if k != "max_delay_frac"},
-        "services": [
-            {"duration_hours": s.duration_hours, "annual_frequency": s.annual_frequency,
-             "duration_steps": s.duration_steps, "window_count": s.window_count}
-            for s in services
-        ],
+        "services": [asdict(s) for s in services],
         "delays": list(delays),
-        "dynamic_quota": {"enabled": dq.enabled, "speedup": dq.speedup},
-        "backend": {"mip_rel_gap": backend.mip_rel_gap,
-                    "time_limit_s": backend.time_limit_s},
+        "dynamic_quota": asdict(dq),
+        "backend": asdict(backend),
         "clusters_per_day": clusters_per_day,
         "aggregate": aggregate,
         "horizons": n_h,

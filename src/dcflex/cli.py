@@ -14,7 +14,6 @@ outputs get a sibling ``<out>.run.json``).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -22,23 +21,26 @@ from pathlib import Path
 from . import config as cfg
 from .campaign import CampaignResult, run_campaign, service_grid
 from .ingest import (
-    PRICE_SERIES_COLUMNS,
+    CLOUD_OPTION_COLUMNS,
     IngestError,
+    json_text,
     parse_cloud_pricing,
     parse_job_trace,
     parse_price_series,
     select_window,
     write_job_trace,
+    write_price_series,
+    write_rows,
 )
 from .market import (
     DEFAULT_PERCENTILES,
     format_profitability_text,
     price_percentile_table,
     profitability_report,
-    write_profitability_json,
 )
 from .model import EconParams, TimeGrid
 from .preprocess import discretize, write_job_table, zero_queue
+from .problem import DqParams
 from .report import heatmap_export
 from .scaling import (
     estimate_csf_samples,
@@ -48,12 +50,12 @@ from .scaling import (
     scale_flex_norm,
     write_csf_samples,
 )
+from .solve import SolverBackend
 from .synth import generate_synthetic_trace
 
 
 def _echo_config(config: dict, out_path) -> None:
-    run_path = Path(str(out_path) + ".run.json")
-    run_path.write_text(json.dumps({"resolved_config": config}, indent=2, sort_keys=True) + "\n")
+    Path(str(out_path) + ".run.json").write_text(json_text({"resolved_config": config}))
 
 
 def _prepare_jobs(args, config):
@@ -89,33 +91,24 @@ def _cmd_synth(args, config):
 
 
 def _cmd_ingest(args, config):
-    if args.trace:
+    if args.trace is not None:
         table = parse_job_trace(args.trace)
         write_job_trace(table, args.out)
         print(f"{len(table)} rows kept, {table.dropped} dropped -> {args.out}")
-    elif args.pricing:
+    elif args.pricing is not None:
         options = parse_cloud_pricing(args.pricing)
-        with Path(args.out).open("w") as handle:
-            handle.write("provider,device_type,model,unit_count,unit_price,"
-                         "unit_power_w,speed,estimated\n")
-            for o in options.options:
-                handle.write(f"{o.provider},{o.device_type},{o.model},{o.unit_count!r},"
-                             f"{o.unit_price!r},{o.unit_power_w!r},{o.speed!r},"
-                             f"{int(o.estimated_flag)}\n")
+        write_rows(args.out, CLOUD_OPTION_COLUMNS, (
+            (o.provider, o.device_type, o.model, repr(o.unit_count), repr(o.unit_price),
+             repr(o.unit_power_w), repr(o.speed), int(o.estimated_flag))
+            for o in options.options))
         print(f"{len(options)} options kept, {options.dropped} dropped -> {args.out}")
-    elif args.prices:
+    else:
         series = parse_price_series(
             args.prices, market=args.market,
             conversion_rate=config["ingest"]["currency_rate"],
         )
-        with Path(args.out).open("w") as handle:
-            handle.write(",".join(PRICE_SERIES_COLUMNS) + "\n")
-            for stamp, price in zip(series.timestamps, series.prices):
-                handle.write(f"{stamp.isoformat()},{float(price)!r}\n")
+        write_price_series(series, args.out)
         print(f"{len(series)} samples -> {args.out}")
-    else:
-        print("error: one of --trace/--pricing/--prices is required", file=sys.stderr)
-        return 2
     _echo_config(config, args.out)
     return 0
 
@@ -134,11 +127,11 @@ def _cmd_campaign(args, config):
     services = service_grid(cfg.parse_float_list(campaign["durations_hours"]),
                             cfg.parse_float_list(campaign["frequencies"]), grid)
     result = run_campaign(
-        table, cfg.spec_from_config(config), cfg.econ_from_config(config), grid, services,
+        table, cfg.spec_from_config(config), EconParams(**config["econ"]), grid, services,
         cfg.parse_float_list(campaign["delays"]), cfg.parse_fractions(campaign["fractions"]),
-        dq=cfg.dq_from_config(config),
+        dq=DqParams(**config["dq"]),
         master_seed=campaign["master_seed"],
-        backend=cfg.backend_from_config(config),
+        backend=SolverBackend(**config["solver"]),
         clusters_per_day=campaign["clusters_per_day"],
         aggregate=campaign["aggregate"],
         n_workers=cfg.resolve_workers(campaign["workers"]),
@@ -154,7 +147,7 @@ def _cmd_csf(args, config):
     if args.device != "both":
         options = options.of_type(args.device)
     # relative to the economics and unit power a campaign is solved at
-    samples = estimate_csf_samples(options, cfg.econ_from_config(config),
+    samples = estimate_csf_samples(options, EconParams(**config["econ"]),
                                    config["datacenter"]["unit_power_kw"])
     write_csf_samples(samples, args.out)
     _echo_config(config, args.out)
@@ -166,9 +159,8 @@ def _cmd_csf(args, config):
         cols = "  ".join(f"P{p:g}={percentile(values, p):.2f}" for p in percentiles)
         print(f"{device}: {len(values)} samples  {cols}")
     if args.summary:
-        Path(args.summary).write_text(json.dumps(
-            {"percentiles": table, "samples": len(samples), "resolved_config": config},
-            indent=2, sort_keys=True) + "\n")
+        Path(args.summary).write_text(json_text(
+            {"percentiles": table, "samples": len(samples), "resolved_config": config}))
     return 0
 
 
@@ -181,6 +173,7 @@ def _cmd_scale(args, config):
     nominal_econ = EconParams(**original.get("econ", {}))
     nominal_g = nominal_dc.get("unit_power_kw", 1.0)
     target_nr = args.NR if args.NR is not None else nominal_dc.get("total_resources", 1.0)
+    pi = args.pi if args.pi is not None else nominal_econ.energy_price
     for cell in result.cells.values():
         if cell.norm_flex is None:
             continue
@@ -189,13 +182,13 @@ def _cmd_scale(args, config):
         cell.mean_flex_kw = scale_flex_kw(nominal_norm, args.G, target_nr)
         if cell.apcof is not None:
             cell.apcof, cell.aecof = scale_acof_dq(cell.apcof, cell.aecof, args.A, args.R,
-                                                   args.G, args.pi, nominal_econ, nominal_g)
+                                                   args.G, pi, nominal_econ, nominal_g)
             cell.acof = cell.apcof + cell.aecof
     result.config = dict(original)
     result.config["scaled_to"] = {
         "price_reduction_coeff": args.A, "hourly_unit_price": args.R,
         "unit_power_kw": args.G, "fixed_power_kw": args.G0,
-        "total_resources": target_nr, "energy_price": args.pi,
+        "total_resources": target_nr, "energy_price": pi,
     }
     result.config["toolkit"] = config
     result.write_json(args.out)
@@ -217,7 +210,7 @@ def _cmd_profit(args, config):
     table = price_percentile_table(series, percentiles)
     report = profitability_report(result, table)
     report["resolved_config"] = config
-    write_profitability_json(report, args.out)
+    Path(args.out).write_text(json_text(report))
     text = format_profitability_text(report)
     if args.text:
         Path(args.text).write_text(text)
@@ -253,9 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("ingest", help="parse and normalize input files")
-    p.add_argument("--trace")
-    p.add_argument("--pricing")
-    p.add_argument("--prices")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--trace")
+    source.add_argument("--pricing")
+    source.add_argument("--prices")
     p.add_argument("--market")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ingest)
@@ -294,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--G", type=float, required=True)
     p.add_argument("--G0", type=float, default=0.0)
     p.add_argument("--NR", type=float)
-    p.add_argument("--pi", type=float, default=0.05)
+    p.add_argument("--pi", type=float, help="energy price; default: the grid's own")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_scale)
 

@@ -13,9 +13,7 @@ import configparser
 import copy
 import os
 
-from .model import DataCenterSpec, EconParams, TimeGrid, default_preempt_overhead_min
-from .problem import DqParams
-from .solve import SolverBackend
+from .model import DataCenterSpec, TimeGrid, default_preempt_overhead_min
 
 ENV_PREFIX = "DCFLEX"
 
@@ -144,25 +142,6 @@ def spec_from_config(config: dict) -> DataCenterSpec:
         preempt_budget_frac=d["preempt_budget_frac"],
         device_class=d["device_class"],
     )
-
-
-def econ_from_config(config: dict) -> EconParams:
-    e = config["econ"]
-    return EconParams(
-        price_reduction_coeff=e["price_reduction_coeff"],
-        hourly_unit_price=e["hourly_unit_price"],
-        energy_price=e["energy_price"],
-    )
-
-
-def dq_from_config(config: dict) -> DqParams:
-    d = config["dq"]
-    return DqParams(enabled=bool(d["enabled"]), speedup=d["speedup"])
-
-
-def backend_from_config(config: dict) -> SolverBackend:
-    s = config["solver"]
-    return SolverBackend(mip_rel_gap=s["mip_rel_gap"], time_limit_s=s["time_limit_s"])
 
 
 def resolve_workers(value) -> int:

@@ -8,12 +8,18 @@ Canonical file layouts:
   price series CSV  header ``timestamp_iso8601,price``
   pricing CSV       the 13-column cloud rental option layout (see
                     ``CLOUD_PRICING_COLUMNS``)
+
+Every CSV of the package is read through ``read_rows`` and written through
+``write_rows``, in the ``csv`` module's default dialect (RFC 4180 quoting,
+CRLF line endings); every JSON artifact is formatted by ``json_text``.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -47,9 +53,45 @@ CLOUD_PRICING_COLUMNS = (
     "Notes",
 )
 
+#: Per-unit cloud options, as ``dcflex ingest --pricing`` writes them.
+CLOUD_OPTION_COLUMNS = ("provider", "device_type", "model", "unit_count", "unit_price",
+                        "unit_power_w", "speed", "estimated")
+
 
 class IngestError(ValueError):
     """Raised for unreadable, malformed or empty input files."""
+
+
+@contextmanager
+def read_rows(path, what: str):
+    """Yield (header, reader) of a CSV file; what names the file in errors.
+
+    An unreadable file or one without a header row raises IngestError.
+    """
+    path = Path(path)
+    try:
+        handle = path.open(newline="")
+    except OSError as exc:
+        raise IngestError(f"cannot read {what} {path}: {exc}") from exc
+    with handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise IngestError(f"{what} {path} is empty")
+        yield header, reader
+
+
+def write_rows(path, header, rows) -> None:
+    """Write a header and rows as CSV in the csv module's default dialect."""
+    with Path(path).open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def json_text(payload) -> str:
+    """The text of a JSON artifact: sorted keys, indent 2, trailing newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 @dataclass
@@ -103,20 +145,9 @@ def parse_job_trace(path) -> RawJobTable:
     Rows with missing or non-numeric fields, non-positive resources, or
     end < start are dropped and counted.
     """
-    path = Path(path)
-    try:
-        handle = path.open(newline="")
-    except OSError as exc:
-        raise IngestError(f"cannot read job trace {path}: {exc}") from exc
-
     ids, submit, start, end, res = [], [], [], [], []
     dropped = 0
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"job trace {path} is empty") from None
+    with read_rows(path, "job trace") as (header, reader):
         for name in JOB_TRACE_COLUMNS:
             if name not in header:
                 raise IngestError(f"job trace {path} missing column {name!r}")
@@ -299,19 +330,9 @@ def parse_cloud_pricing(path) -> CloudOptionTable:
     model or count column, or without usable speed or power, are dropped
     and counted.
     """
-    path = Path(path)
-    try:
-        handle = path.open(newline="")
-    except OSError as exc:
-        raise IngestError(f"cannot read pricing file {path}: {exc}") from exc
     options: list[CloudOption] = []
     dropped = 0
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"pricing file {path} is empty") from None
+    with read_rows(path, "pricing file") as (header, reader):
         cols = _match_pricing_header(header)
         width = max(cols[k] for k in _PRICING_REQUIRED) + 1
         for row in reader:
@@ -397,19 +418,9 @@ def parse_price_series(
     every price (e.g. 1.267 USD/GBP to convert a GBP series to USD); it
     comes from configuration, never from code.
     """
-    path = Path(path)
-    market = market if market is not None else path.stem
-    try:
-        handle = path.open(newline="")
-    except OSError as exc:
-        raise IngestError(f"cannot read price series {path}: {exc}") from exc
+    market = market if market is not None else Path(path).stem
     stamps, prices = [], []
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"price series {path} is empty") from None
+    with read_rows(path, "price series") as (header, reader):
         if [cell.strip() for cell in header] != list(PRICE_SERIES_COLUMNS):
             raise IngestError(f"price series {path}: header {header!r} is not "
                               f"{','.join(PRICE_SERIES_COLUMNS)}")
@@ -438,16 +449,16 @@ def parse_price_series(
     )
 
 
+def write_price_series(series: PriceSeries, path) -> None:
+    """Serialize a PriceSeries to the canonical price series CSV."""
+    write_rows(path, PRICE_SERIES_COLUMNS,
+               ((stamp.isoformat(), repr(float(price)))
+                for stamp, price in zip(series.timestamps, series.prices)))
+
+
 def write_job_trace(table: RawJobTable, path) -> None:
     """Serialize a RawJobTable to the canonical job trace CSV."""
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(JOB_TRACE_COLUMNS)
-        for i in range(len(table)):
-            writer.writerow([
-                table.ids[i],
-                repr(float(table.submit[i])),
-                repr(float(table.start[i])),
-                repr(float(table.end[i])),
-                repr(float(table.resources[i])),
-            ])
+    write_rows(path, JOB_TRACE_COLUMNS,
+               ((table.ids[i], repr(float(table.submit[i])), repr(float(table.start[i])),
+                 repr(float(table.end[i])), repr(float(table.resources[i])))
+                for i in range(len(table))))

@@ -8,11 +8,9 @@ non-decreasing.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Sequence
 
-from .campaign import CampaignResult
+from .campaign import CampaignResult, CellKey
 from .ingest import PriceSeries
 from .scaling import percentile
 
@@ -50,8 +48,7 @@ def profitability_report(acof_grid: CampaignResult, prices: dict) -> dict:
     if not cost_keys:
         raise ValueError("profitability needs a cost campaign grid")
     cells = []
-    for key in sorted(cost_keys, key=lambda k: (
-            k.duration_hours, k.annual_frequency, k.max_delay_frac, k.flex_fraction)):
+    for key in sorted(cost_keys, key=CellKey.sort_key):
         cell = acof_grid.cells[key]
         breakeven = {}
         if cell.acof is not None and not cell.degenerate:
@@ -77,10 +74,6 @@ def profitability_report(acof_grid: CampaignResult, prices: dict) -> dict:
                     for m, ptable in prices.items()},
         "cells": cells,
     }
-
-
-def write_profitability_json(report: dict, path) -> None:
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def format_profitability_text(report: dict) -> str:

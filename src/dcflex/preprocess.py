@@ -8,12 +8,9 @@ run in parallel; results are merged in day order for determinism.
 
 from __future__ import annotations
 
-import csv
-from pathlib import Path
-
 import numpy as np
 
-from .ingest import RawJobTable
+from .ingest import IngestError, RawJobTable, read_rows, write_rows
 from .model import BaselineProfile, DataCenterSpec, JobTable, TimeGrid
 
 JOB_STEP_COLUMNS = ("id", "submit_step", "complete_step", "compute_steps", "resources")
@@ -261,27 +258,18 @@ def utilization_stats(profiles, results) -> dict:
 
 def write_job_table(table: JobTable, path) -> None:
     """Serialize a step-indexed JobTable to the canonical CSV layout."""
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(JOB_STEP_COLUMNS)
-        for i in range(len(table)):
-            writer.writerow([
-                table.ids[i],
-                int(table.submit_step[i]),
-                int(table.complete_step[i]),
-                int(table.compute_steps[i]),
-                repr(float(table.resources[i])),
-            ])
+    write_rows(path, JOB_STEP_COLUMNS,
+               ((table.ids[i], int(table.submit_step[i]), int(table.complete_step[i]),
+                 int(table.compute_steps[i]), repr(float(table.resources[i])))
+                for i in range(len(table))))
 
 
 def read_job_table(path) -> JobTable:
     """Read a step-indexed JobTable written by write_job_table."""
     ids, submit, steps, res = [], [], [], []
-    with Path(path).open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
+    with read_rows(path, "job table") as (header, reader):
         if tuple(header) != JOB_STEP_COLUMNS:
-            raise ValueError(f"unexpected job table header {header!r}")
+            raise IngestError(f"unexpected job table header {header!r}")
         for row in reader:
             if not row:
                 continue

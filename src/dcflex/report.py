@@ -1,5 +1,7 @@
 """Campaign grid exports: long-form CSV plus standalone SVG heatmaps.
 
+The grid CSV is written by write_grid_csv and read back by load_grid_csv.
+
 SVGs are emitted by hand (rectangles and text, no plotting dependency).
 Each heatmap panel covers one (delay limit, flexibility fraction) pair of
 the grid with duration rows, frequency columns, a linear min-to-max color
@@ -9,10 +11,10 @@ carry no cost, so a cost metric gets panels only for the cost cells.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
-from .campaign import CampaignResult
+from .campaign import CampaignResult, CellKey
+from .ingest import IngestError, read_rows, write_rows
 
 CELL_W = 92
 CELL_H = 46
@@ -23,6 +25,10 @@ MARGIN_RIGHT = 24
 
 _COST_METRICS = ("acof", "apcof", "aecof")
 _METRICS = ("mean_flex_kw", "norm_flex") + _COST_METRICS
+
+#: Long-form grid CSV header, in file order: one row per cell and metric.
+GRID_CSV_COLUMNS = ("duration_hours", "annual_frequency", "max_delay", "flex_fraction",
+                    "metric", "value")
 
 
 def _color(frac: float) -> str:
@@ -119,7 +125,7 @@ def heatmap_export(grid: CampaignResult, metric: str, out_prefix) -> list:
     written = []
 
     csv_path = out_prefix.with_name(out_prefix.name + ".csv")
-    grid.write_csv(csv_path)
+    write_grid_csv(grid, csv_path)
     written.append(csv_path)
 
     durations = sorted({k.duration_hours for k in grid.cells})
@@ -143,16 +149,22 @@ def heatmap_export(grid: CampaignResult, metric: str, out_prefix) -> list:
     return written
 
 
+def write_grid_csv(grid: CampaignResult, path) -> None:
+    """Long-form CSV of every cell's metrics, cells in CellKey.sort_key order."""
+    write_rows(path, GRID_CSV_COLUMNS, (
+        (repr(key.duration_hours), repr(key.annual_frequency), repr(key.max_delay_frac),
+         "" if key.flex_fraction is None else repr(key.flex_fraction), metric,
+         repr(float(value)))
+        for key in sorted(grid.cells, key=CellKey.sort_key)
+        for metric, value in grid.cells[key].metrics().items()))
+
+
 def load_grid_csv(path) -> dict:
     """Read a long-form grid CSV back into {(dur, freq, delay, frac): {metric: value}}."""
     cells = {}
-    with Path(path).open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        expected = ["duration_hours", "annual_frequency", "max_delay", "flex_fraction",
-                    "metric", "value"]
-        if header != expected:
-            raise ValueError(f"unexpected grid CSV header {header!r}")
+    with read_rows(path, "grid CSV") as (header, reader):
+        if tuple(header) != GRID_CSV_COLUMNS:
+            raise IngestError(f"unexpected grid CSV header {header!r}")
         for row in reader:
             if not row:
                 continue

@@ -9,15 +9,16 @@ cloud rental options of the same provider and device type.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .ingest import CloudOption, CloudOptionTable
+from .ingest import CloudOption, CloudOptionTable, write_rows
 from .model import EconParams
+
+#: Cost-scaling-factor samples CSV header, in file order.
+CSF_SAMPLE_COLUMNS = ("provider", "device_type", "fast_model", "slow_model", "A", "csf")
 
 #: Pairs where the slow option needs more than this share of extra
 #: computing time are considered not comparable. The boundary itself
@@ -183,12 +184,7 @@ def percentile(samples: Sequence[float], p: float) -> float:
 
 
 def write_csf_samples(samples: Sequence[CsfSample], path) -> None:
-    """Serialize samples to CSV: provider,device_type,fast_model,slow_model,A,csf."""
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["provider", "device_type", "fast_model", "slow_model", "A", "csf"])
-        for s in samples:
-            writer.writerow([
-                s.provider, s.device_type, s.fast_option.model, s.slow_option.model,
-                repr(s.price_reduction_coeff), repr(s.csf),
-            ])
+    """Serialize samples to the CSV layout of CSF_SAMPLE_COLUMNS."""
+    write_rows(path, CSF_SAMPLE_COLUMNS,
+               ((s.provider, s.device_type, s.fast_option.model, s.slow_option.model,
+                 repr(s.price_reduction_coeff), repr(s.csf)) for s in samples))

@@ -26,6 +26,7 @@ from dcflex.campaign import (
 from dcflex.model import DataCenterSpec, EconParams, JobTable, ServiceSpec, TimeGrid
 from dcflex.preprocess import baseline_profile, discretize, zero_queue
 from dcflex.problem import NO_DQ, DqParams, build_costmin, build_flexmax, retarget
+from dcflex.report import write_grid_csv
 from dcflex.solve import DEFAULT_BACKEND, CellSolver, solve
 from dcflex.synth import generate_synthetic_trace
 
@@ -256,7 +257,7 @@ def test_campaign_json_and_csv_round_trip(tmp_path):
     assert again.to_json() == result.to_json()
 
     csv_path = tmp_path / "grid.csv"
-    result.write_csv(csv_path)
+    write_grid_csv(result, csv_path)
     text = csv_path.read_text()
     assert text.splitlines()[0] == \
         "duration_hours,annual_frequency,max_delay,flex_fraction,metric,value"

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -7,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import dcflex
-from dcflex.campaign import derive_seed, sample_activations
+from dcflex.campaign import CampaignResult, CellKey, CellResult, derive_seed, sample_activations
 from dcflex.cli import cli_main
 from dcflex.config import load_config
+from dcflex.ingest import CLOUD_OPTION_COLUMNS
 from dcflex.model import EconParams, TimeGrid
 from dcflex.scaling import scale_acof_dq
 from test_campaign import _count_layer_calls
@@ -216,6 +218,28 @@ def test_ingest_prices_with_config_rate(tmp_path):
     assert value == pytest.approx(3.801, rel=1e-12)
 
 
+def test_ingest_pricing_output_quotes_fields(tmp_path):
+    rows = (DATA / "pricing_six_options.csv").read_text().splitlines()
+    src = tmp_path / "pricing.csv"
+    src.write_text("\n".join([rows[0], rows[1].replace("FastCard", '"A100, SXM ""80GB"""')])
+                   + "\n")
+    out = tmp_path / "options.csv"
+    assert cli_main(["ingest", "--pricing", str(src), "--out", str(out)]) == 0
+    with out.open(newline="") as handle:
+        header, *options = csv.reader(handle)
+    assert tuple(header) == CLOUD_OPTION_COLUMNS
+    assert options == [["alpha", "gpu", 'A100, SXM "80GB"', "1.0", "2.0", "500.0", "2.0", "0"]]
+
+
+@pytest.mark.parametrize("sources", [
+    ["--trace", "a.csv", "--prices", "b.csv"], ["--pricing", "a.csv", "--trace", "b.csv"], [],
+], ids=["trace_and_prices", "pricing_and_trace", "none"])
+def test_ingest_takes_exactly_one_source(tmp_path, capsys, sources):
+    assert cli_main(["ingest", *sources, "--out", str(tmp_path / "out.csv")]) == 2
+    assert "--trace" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("DCFLEX_CAMPAIGN_MASTER_SEED", "99")
     trace = tmp_path / "t.csv"
@@ -244,6 +268,31 @@ def test_scale_rejects_a_grid_solved_at_zero_energy_price(tmp_path, capsys):
                    "--G", "1", "--out", str(tmp_path / "scaled.json")])
     assert rc == 1
     assert "error: nominal energy price must be positive" in capsys.readouterr().err
+
+
+def test_scale_to_the_nominal_parameters_without_pi_is_the_identity(tmp_path):
+    # a quota cost cell solved at 0.1 USD/kWh, so its extra-energy part is not 0
+    cell = CellResult(duration_hours=2.0, annual_frequency=365.0, max_delay_frac=0.2,
+                      flex_fraction=1.0, mean_flex_kw=30.0, norm_flex=0.3, acof=1.2,
+                      apcof=1.0, aecof=0.2, windows_evaluated=1, degenerate=False,
+                      statuses=("optimal",), gaps=(0.0,))
+    config = {"datacenter": {"total_resources": 100.0, "unit_power_kw": 1.0,
+                             "fixed_power_kw": 0.0},
+              "econ": {"price_reduction_coeff": 0.5, "hourly_unit_price": 1.0,
+                       "energy_price": 0.1}}
+    cost_json = tmp_path / "cost.json"
+    CampaignResult("costmin", config, {CellKey(2.0, 365.0, 0.2, 1.0): cell}).write_json(cost_json)
+    scaled_json = tmp_path / "scaled.json"
+    rc = cli_main(["scale", "--grid", str(cost_json), "--A", "0.5", "--R", "1",
+                   "--G", "1", "--out", str(scaled_json)])
+    assert rc == 0
+    nominal = json.loads(cost_json.read_text())["cells"]
+    scaled = json.loads(scaled_json.read_text())
+    assert scaled["config"]["scaled_to"]["energy_price"] == 0.1
+    assert nominal.keys() == scaled["cells"].keys()
+    for name, cell in nominal.items():
+        for metric in ("norm_flex", "mean_flex_kw", "apcof", "aecof", "acof"):
+            assert scaled["cells"][name][metric] == pytest.approx(cell[metric], rel=1e-12)
 
 
 def test_campaign_flags_reach_the_echoed_config(tmp_path):

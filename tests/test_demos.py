@@ -2,10 +2,12 @@
 
 The fast demos run end to end in a subprocess; the slow ones (minutes of
 solves) and the quickstart are only checked for importing names that
-exist, by reading their source with ast.
+exist, by reading their source with ast. The CSV headers that the README
+lists under "File formats" are checked against the package's constants.
 """
 
 import ast
+import csv
 import importlib
 import os
 import re
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import dcflex
+from dcflex import ingest, preprocess, report, scaling
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
@@ -63,3 +66,26 @@ def test_slow_demos_and_quickstart_import_existing_names():
     missing = [f"{module}.{name}" for module, name in imports
                if not hasattr(importlib.import_module(module), name)]
     assert not missing
+
+
+# every README "File formats" entry with a CSV header, by its label
+README_HEADERS = {
+    "job trace CSV": ingest.JOB_TRACE_COLUMNS,
+    "discretized job CSV": preprocess.JOB_STEP_COLUMNS,
+    "price series CSV": ingest.PRICE_SERIES_COLUMNS,
+    "cloud pricing CSV": ingest.CLOUD_PRICING_COLUMNS,
+    "cloud options CSV": ingest.CLOUD_OPTION_COLUMNS,
+    "campaign grid": report.GRID_CSV_COLUMNS,
+    "cost-scaling-factor samples CSV": scaling.CSF_SAMPLE_COLUMNS,
+}
+
+
+def test_readme_file_formats_match_the_module_constants():
+    section = (ROOT / "README.md").read_text().split("\n## File formats\n")[1]
+    section = section.split("\n## ")[0]
+    entries = [" ".join(item.split()) for item in re.split(r"^- ", section, flags=re.M)[1:]]
+    listed = {}
+    for entry in entries:
+        label, text = entry.split(": ", 1)
+        listed[label] = tuple(next(csv.reader([re.search(r"`([^`]+)`", text).group(1)])))
+    assert listed == README_HEADERS

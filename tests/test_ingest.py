@@ -11,8 +11,11 @@ from dcflex.ingest import (
     parse_price_series,
     select_window,
     write_job_trace,
+    write_price_series,
 )
 from dcflex.model import TimeGrid
+from dcflex.preprocess import read_job_table
+from dcflex.report import load_grid_csv
 
 DATA = Path(__file__).parent / "data"
 GRID = TimeGrid(15, 960)
@@ -82,8 +85,9 @@ def test_parse_pai_scale_trace(tmp_path):
 
 def test_trace_round_trip(tmp_path):
     path = tmp_path / "t.csv"
-    write_trace(path, [("a", 0.0, 0.5, 3600.25, 2.5), ("b", 10, 20, 30, 1)])
+    write_trace(path, [('a, "x"', 0.0, 0.5, 3600.25, 2.5), ("b", 10, 20, 30, 1)])
     table = parse_job_trace(path)
+    assert table.ids == ('a, "x"', "b")
     out = tmp_path / "out.csv"
     write_job_trace(table, out)
     again = parse_job_trace(out)
@@ -226,3 +230,33 @@ def test_price_series_without_header_is_rejected(tmp_path):
     path.write_text("2024-01-01T00:00:00,9.0\n2024-01-01T01:00:00,1.0\n")
     with pytest.raises(IngestError, match="header"):
         parse_price_series(path)
+
+
+def test_price_series_round_trip(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("timestamp_iso8601,price\n"
+                    "2024-01-02T00:30:00,2.5\n"
+                    "2024-01-01T00:00:00,0.1\n")
+    series = parse_price_series(path, market="m")
+    out = tmp_path / "out.csv"
+    write_price_series(series, out)
+    assert out.read_bytes() == (b"timestamp_iso8601,price\r\n"
+                                b"2024-01-01T00:00:00,0.1\r\n"
+                                b"2024-01-02T00:30:00,2.5\r\n")
+    again = parse_price_series(out, market="m")
+    assert again.timestamps == series.timestamps
+    assert np.array_equal(again.prices, series.prices)
+
+
+@pytest.mark.parametrize("read, what", [
+    (parse_job_trace, "job trace"), (parse_cloud_pricing, "pricing file"),
+    (parse_price_series, "price series"), (read_job_table, "job table"),
+    (load_grid_csv, "grid CSV"),
+], ids=["job_trace", "pricing", "price_series", "job_table", "grid_csv"])
+def test_every_reader_rejects_empty_and_missing_files(tmp_path, read, what):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with pytest.raises(IngestError, match=f"^{what} .*empty.csv is empty$"):
+        read(empty)
+    with pytest.raises(IngestError, match=f"^cannot read {what} .*nope.csv: "):
+        read(tmp_path / "nope.csv")

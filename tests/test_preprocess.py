@@ -350,7 +350,7 @@ def test_utilization_stats():
 
 
 def test_job_table_csv_round_trip(tmp_path):
-    table = JobTable(["a", "b"], [1, 7], [3, 2], [1.25, 0.5])
+    table = JobTable(['a, "x"', "b"], [1, 7], [3, 2], [1.25, 0.5])
     path = tmp_path / "jobs.csv"
     write_job_table(table, path)
     again = read_job_table(path)

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from dcflex.campaign import CampaignResult, CellKey, CellResult
-from dcflex.report import heatmap_export, load_grid_csv
+from dcflex.report import heatmap_export, load_grid_csv, write_grid_csv
 
 
 def one_cell_grid(value=1.0):
@@ -36,6 +38,24 @@ def test_csv_round_trip(tmp_path):
     cells = load_grid_csv(tmp_path / "g.csv")
     assert cells[(0.25, 2920.0, 0.2, None)]["norm_flex"] == 0.73125
     assert cells[(0.25, 2920.0, 0.2, None)]["mean_flex_kw"] == 2.0
+
+
+def test_grid_csv_lists_each_flexibility_cell_before_its_cost_cells(tmp_path):
+    grid = one_cell_grid(0.5)
+    flex = grid.cells[CellKey(0.25, 2920.0, 0.2)]
+    for frac in (1.0, 0.0):
+        cost = replace(flex, flex_fraction=frac, acof=0.25 + frac, apcof=0.25, aecof=frac)
+        grid.cells[CellKey(0.25, 2920.0, 0.2, frac)] = cost
+    grid.cells[CellKey(0.25, 365.0, 0.2)] = replace(flex, annual_frequency=365.0)
+    path = tmp_path / "g.csv"
+    write_grid_csv(grid, path)
+    keys = list(dict.fromkeys(tuple(line.split(",")[:4])
+                              for line in path.read_text().splitlines()[1:]))
+    assert keys == [("0.25", "365.0", "0.2", ""), ("0.25", "2920.0", "0.2", ""),
+                    ("0.25", "2920.0", "0.2", "0.0"), ("0.25", "2920.0", "0.2", "1.0")]
+    assert load_grid_csv(path) == {
+        (k.duration_hours, k.annual_frequency, k.max_delay_frac, k.flex_fraction):
+        cell.metrics() for k, cell in grid.cells.items()}
 
 
 def test_multi_panel_and_missing_cells(tmp_path):

@@ -1,14 +1,16 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dcflex.ingest import CloudOption, CloudOptionTable, parse_cloud_pricing
+from dcflex.ingest import CloudOption, CloudOptionTable, parse_cloud_pricing, read_rows
 from dcflex.model import EconParams
 from dcflex.preprocess import baseline_profile
 from dcflex.problem import build_flexmax
 from dcflex.scaling import (
+    CSF_SAMPLE_COLUMNS,
     cost_scaling_factor,
     dedup_same_machine,
     estimate_csf_samples,
@@ -142,6 +144,16 @@ def test_csf_fixture_file(tmp_path):
     header, *rows = out.read_text().splitlines()
     assert header == "provider,device_type,fast_model,slow_model,A,csf"
     assert len(rows) == 2
+
+    # a model name with a comma and a double quote reads back as written
+    quoted = replace(samples[0], fast_option=replace(samples[0].fast_option,
+                                                     model='Fast, "80GB"'))
+    write_csf_samples([quoted], out)
+    with read_rows(out, "samples") as (header, reader):
+        assert tuple(header) == CSF_SAMPLE_COLUMNS
+        assert list(reader) == [[quoted.provider, "gpu", 'Fast, "80GB"',
+                                 quoted.slow_option.model, repr(quoted.price_reduction_coeff),
+                                 repr(quoted.csf)]]
 
 
 def test_percentile():
