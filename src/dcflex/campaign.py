@@ -10,16 +10,12 @@ solves the flexibility LP (0 kW unsolved at zero delay without quota), then
 visits each flex fraction: fraction None is the flexibility cell (the LP
 optimum itself), and a number is the cost cell at that share of the
 optimum. A run has cost cells iff some fraction is a number, and that
-alone decides its kind, its econ echo and whether the quota model's
-zero-delay LP is solved. A horizon that raises is recorded as `error` on
-each of its cells.
+alone decides its kind and its econ echo. A horizon that raises is
+recorded as `error` on each of its cells.
 
-Each (horizon, service, delay) gets two CellSolvers in turn, each with a
-cold first solve, exactly as solve() would do it. The first solves the
-flexibility LP and, under quota with cost cells, the zero-delay LP: that
-LP with the late x and xdq columns fixed at 0 (problem.without_delay),
-warm. The second solves the cost model, built once, at the largest
-fraction, and moved to each smaller one by its target and bound rows
+Each (horizon, service, delay) solves its flexibility LP with solve(),
+then its cost model on one CellSolver: built once, solved cold at the
+largest fraction, and moved to each smaller one by its target row
 (problem.retarget), warm.
 
 Determinism: every random draw is seeded from
@@ -52,8 +48,8 @@ from .model import (
     TimeGrid,
 )
 from .preprocess import aggregate_daily, baseline_profile, partition_to_horizon
-from .problem import NO_DQ, DqParams, build_costmin, build_flexmax, retarget, without_delay
-from .solve import DEFAULT_BACKEND, CellSolver, SolverBackend
+from .problem import NO_DQ, DqParams, build_costmin, build_flexmax, retarget
+from .solve import DEFAULT_BACKEND, CellSolver, SolverBackend, solve
 
 log = logging.getLogger(__name__)
 
@@ -254,55 +250,33 @@ def _horizon_records(h, table, spec, econ, grid, services, delays, fractions, dq
 
     Fraction None records the LP optimum itself; a number records the cost
     MILP at that share of the optimum, or a degenerate zero-cost cell. Per
-    service and delay one CellSolver solves the LP and its zero-delay
-    restriction, and then another the cost models, at the fractions from
-    the largest down, so the records do not depend on the order of the
-    fractions.
+    service and delay one CellSolver solves the cost models, at the
+    fractions from the largest down, so the records do not depend on the
+    order of the fractions.
     """
     part, base = _prepare_horizon(table, spec, grid, h, master_seed,
                                   clusters_per_day, aggregate)
-    # the cost model's bound under quota needs the zero-delay optimum
-    zero_delay_lp = dq.enabled and any(frac is not None for frac in fractions)
     costed = sorted({frac for frac in fractions if frac is not None}, reverse=True)
     records = []
     for svc in services:
         for delay in delays:
             spec_d = spec.with_max_delay(delay)
             plan = _cell_plan(grid, svc, delay, h, master_seed)
-            cell = CellSolver(backend)
             if delay == 0.0 and not dq.enabled:
                 # closed form: each available period is the baseline span, so
                 # completion forces x = 1 (baseline_profile checked it fits)
                 status, s_max = "optimal", 0.0
             else:
-                flex = build_flexmax(part, spec_d, base, plan, dq)
-                lp = cell.solve(flex)
+                lp = solve(build_flexmax(part, spec_d, base, plan, dq), backend)
                 status, s_max = lp.status, (lp.mean_flex_kw if lp.ok else None)
-            s_zero_delay = None
-            if zero_delay_lp and s_max is not None:
-                # at delay 0.0 the cell's own LP is the zero-delay LP; if the
-                # zero-delay LP fails, S_a <= s_max keeps the bound valid (at 0)
-                s_zero_delay = s_max
-                if delay > 0.0:
-                    zd = cell.solve(without_delay(flex, part))
-                    if zd.ok:
-                        s_zero_delay = zd.mean_flex_kw
-                    else:
-                        log.warning("horizon %d, %s: the zero-delay LP ended %s; the quota "
-                                    "cost bound is taken as 0", h,
-                                    CellKey(svc.duration_hours, svc.annual_frequency,
-                                            delay).text(), zd.status)
-            # the cost model has more rows and columns than the LP: it starts
-            # cold, and the LP's instance goes with the rebinding
             cell = CellSolver(backend)
             solved, cost = {}, None
             for frac in (costed if s_max is not None else ()):
                 target = frac * s_max
                 if target <= DEGENERATE_FLEX_KW:
                     break
-                cost = (build_costmin(part, spec_d, econ, base, plan, target, dq=dq,
-                                      zero_delay_flex_kw=s_zero_delay) if cost is None
-                        else retarget(cost, spec_d, plan, target, s_zero_delay))
+                cost = (build_costmin(part, spec_d, econ, base, plan, target, dq=dq)
+                        if cost is None else retarget(cost, target))
                 solved[frac] = cell.solve(cost)
             for frac in fractions:
                 key = CellKey(svc.duration_hours, svc.annual_frequency, delay, frac)
@@ -360,11 +334,11 @@ def run_campaign(
     infeasibility, or an exception in a horizon, is recorded on the cell
     instead of aborting the campaign. Per horizon and cell the flexibility
     LP is solved once for all fractions. Fraction None is the flexibility
-    cell; a number targets that share of the optimum in a cost minimization
-    tightened by its valid lower bound. ACoF is total cost divided by
-    shifted energy, split into the computing-price part (APCoF) and the
-    extra-energy part (AECoF, nonzero only under dynamic quota); the
-    decomposition is exact by construction. econ is read only when some
+    cell; a number targets that share of the optimum in a cost minimization.
+    ACoF is total cost divided by shifted energy, split into the
+    computing-price part (APCoF) and the extra-energy part (AECoF, nonzero
+    only under dynamic quota); the decomposition is exact by construction.
+    econ is read only when some
     fraction is a number. Delays must be finite and >= 0, and fractions
     None or in [0, 1]; anything else raises ValueError before any solve.
     """

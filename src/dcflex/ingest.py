@@ -64,26 +64,30 @@ class IngestError(ValueError):
 
 @contextmanager
 def read_rows(path, what: str):
-    """Yield (header, reader) of a CSV file; what names the file in errors.
+    """Yield (header, reader) of a UTF-8 CSV file; what names the file in errors.
 
-    An unreadable file or one without a header row raises IngestError.
+    An unreadable file, one without a header row, and bytes that are not
+    UTF-8, in the header or in rows the caller reads, raise IngestError.
     """
     path = Path(path)
     try:
-        handle = path.open(newline="")
+        handle = path.open(newline="", encoding="utf-8")
     except OSError as exc:
         raise IngestError(f"cannot read {what} {path}: {exc}") from exc
     with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise IngestError(f"{what} {path} is empty")
-        yield header, reader
+        try:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise IngestError(f"{what} {path} is empty")
+            yield header, reader
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"{what} {path} is not UTF-8: {exc}") from exc
 
 
 def write_rows(path, header, rows) -> None:
     """Write a header and rows as CSV in the csv module's default dialect."""
-    with Path(path).open("w", newline="") as handle:
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)

@@ -273,6 +273,9 @@ def read_job_table(path) -> JobTable:
         for row in reader:
             if not row:
                 continue
+            if len(row) < len(header):
+                raise IngestError(f"job table {path} line {reader.line_num}: "
+                                  f"{len(row)} fields, the header has {len(header)}")
             ids.append(row[0])
             submit.append(int(row[1]))
             steps.append(int(row[3]))

@@ -6,9 +6,8 @@ arrays: columns run per job x, (z), (xdq), (np), then p, f, s, then per
 job (xp), e, delta, c; rows run per job (preempt, preempt_total),
 completion, then per step (capacity), power, flex, then sustain,
 quota_cap, per job (runflag, endmark), (endfloor), delay, jobcost,
-service_target, cost_bound. Names such as ``x_j_t`` (j is the job's
-position in the table) are rendered on first read, for LP text export
-and inspection.
+service_target. Names such as ``x_j_t`` (j is the job's position in the
+table) are rendered on first read, for LP text export and inspection.
 
 Formulation summary, per job j over its available period [a_j, b_j]:
   x[j,t] in [0,1]      completed workload proportion per step
@@ -50,6 +49,13 @@ delta_j >= (e_j - submit_j - D_j)/D_j, and the price reduction
 c_j >= A delta_j D_j dt_hours R N_j. The objective minimizes total price
 reduction plus, under dynamic quota, the extra energy cost
 pi * dt_hours * (sum_t p_t - sum_t p_base_t).
+
+Without dynamic quota the LP relaxation already implies the analytic bound
+of tightening_bound, so no row states it. Let L_j be job j's workload at or
+after tS_j + D_j. Work held back from a window step of j's baseline span is
+done later, so the flex and sustain rows give
+sum_j N_j L_j >= duration * count * target / G; the endfloor, delay and
+jobcost rows give c_j >= A dt_hours R N_j L_j, and their sum is the bound.
 """
 
 from __future__ import annotations
@@ -354,15 +360,12 @@ def build_flexmax(jobs: JobTable, spec: DataCenterSpec, baseline: BaselineProfil
 
 def build_costmin(jobs: JobTable, spec: DataCenterSpec, econ: EconParams,
                   baseline: BaselineProfile, plan: ActivationPlan, target_kw: float,
-                  dq: DqParams = NO_DQ,
-                  zero_delay_flex_kw: float | None = None) -> ModelInstance:
+                  dq: DqParams = NO_DQ) -> ModelInstance:
     """Build the MILP minimizing the cost of providing target_kw flexibility.
 
     A target exceeding the flexibility optimum yields an infeasible model.
-    The valid lower bound of tightening_bound on the total price reduction
-    is a row (zero_delay_flex_kw is the delay-free optimum S_a, needed only
-    under dynamic quota), and per-job end-marker floors speed up branching;
-    neither changes the optimum.
+    Per-job end-marker floors let the LP relaxation price delays, which
+    speeds up branching without changing the optimum.
     """
     if target_kw < 0:
         raise ValueError("target_kw must be non-negative")
@@ -419,11 +422,6 @@ def build_costmin(jobs: JobTable, spec: DataCenterSpec, econ: EconParams,
     r_target = b.rows([1])
     b.row_family("service_target", r_target, (), plan.count * target_kw, INF)
     b.entries(r_target, meta["s0"] + np.arange(plan.count), 1.0)
-    bound = tightening_bound(econ, spec, plan, target_kw, dq=dq,
-                             zero_delay_flex_kw=zero_delay_flex_kw)
-    r_bound = b.rows([1])
-    b.row_family("cost_bound", r_bound, (), bound, INF)
-    b.entries(r_bound, c_col, 1.0)
 
     objective = [(c_col, 1.0)]
     obj_const = 0.0
@@ -436,67 +434,33 @@ def build_costmin(jobs: JobTable, spec: DataCenterSpec, econ: EconParams,
     return b.build("costmin", "min", objective, obj_const, meta)
 
 
-def retarget(model: ModelInstance, spec: DataCenterSpec, plan: ActivationPlan,
-             target_kw: float, zero_delay_flex_kw: float | None = None) -> ModelInstance:
+def retarget(model: ModelInstance, target_kw: float) -> ModelInstance:
     """build_costmin's model at target_kw, made from its model at another target.
 
-    Only the lower bounds of the last two rows, service_target and
-    cost_bound, depend on the target; the copy shares every other array.
-    spec, plan and zero_delay_flex_kw are the ones the model was built with.
+    Only the lower bound of the last row, service_target, depends on the
+    target; the copy shares every other array.
     """
     row_lb = model.row_lb.copy()
-    row_lb[-2] = plan.count * target_kw
-    row_lb[-1] = tightening_bound(model.meta["econ"], spec, plan, target_kw,
-                                  dq=model.meta["dq"], zero_delay_flex_kw=zero_delay_flex_kw)
+    row_lb[-1] = len(model.meta["windows"]) * target_kw
     return replace(model, row_lb=row_lb)
 
 
-def without_delay(model: ModelInstance, jobs: JobTable) -> ModelInstance:
-    """The model with every job held to its undelayed span [a_j, a_j + D_j - 1].
-
-    The x and xdq columns of later steps get upper bound 0; the copy
-    shares every other array. For a flexibility model built at any delay
-    its optimum is that of the model built at delay 0. The x are then the
-    same, and so are the capacity, power and flex rows. A job budgeted at
-    delay 0 is budgeted at any delay, as its span only grows, and its extra
-    counter columns may be 0. A job budgeted only at the longer delay keeps
-    the smallest counter of its x within budget: by the module docstring,
-    sum z - 1 <= D_j - sum x <= D_j - D_j/(1 + K), which is at most its cap
-    because the job is not budgeted at delay 0. So its counter rows cut
-    nothing.
-    """
-    late = model.meta["win_a"] + jobs.compute_steps  # a_j + D_j
-    var_ub = model.var_ub.copy()
-    for name, cols, index, *_ in model.families[0]:
-        if name in ("x", "xdq"):
-            jj, t = index
-            var_ub[cols[t >= late[jj]]] = 0.0
-    return replace(model, var_ub=var_ub)
-
-
 def tightening_bound(econ: EconParams, spec: DataCenterSpec, plan: ActivationPlan,
-                     target_kw: float, dq: DqParams = NO_DQ,
-                     zero_delay_flex_kw: float | None = None) -> float:
-    """Valid lower bound on the total price reduction of meeting a target.
+                     target_kw: float) -> float:
+    """Valid lower bound on the total price reduction of meeting a target
+    without dynamic quota.
 
     Shifting target_kw out of every activation window delays at least
     (window steps)/G resource-steps of workload past the original
     completion times, each step priced at A * R * dt_hours per resource.
-    Under dynamic quota the delay-free flexibility S_a costs no price
-    reduction, and recovered workload is served up to (1 + K) faster.
+    build_costmin's LP relaxation is never below it (see the module
+    docstring).
     """
     if target_kw < 0:
         raise ValueError("target_kw must be non-negative")
-    dt_hours = plan.grid.step_hours
     base = econ.price_reduction_coeff * plan.duration_steps * plan.count \
-        * dt_hours * econ.hourly_unit_price / spec.unit_power_kw
-    if not dq.enabled:
-        return base * target_kw
-    if zero_delay_flex_kw is None:
-        raise ValueError("dynamic-quota bound needs zero_delay_flex_kw (S_a)")
-    if target_kw <= zero_delay_flex_kw:
-        return 0.0
-    return base * (target_kw - zero_delay_flex_kw) / (1.0 + dq.speedup)
+        * plan.grid.step_hours * econ.hourly_unit_price / spec.unit_power_kw
+    return base * target_kw
 
 
 def _fmt(value: float) -> str:

@@ -168,6 +168,9 @@ def load_grid_csv(path) -> dict:
         for row in reader:
             if not row:
                 continue
+            if len(row) < len(header):
+                raise IngestError(f"grid CSV {path} line {reader.line_num}: "
+                                  f"{len(row)} fields, the header has {len(header)}")
             dur, freq, delay = float(row[0]), float(row[1]), float(row[2])
             frac = None if row[3] == "" else float(row[3])
             cells.setdefault((dur, freq, delay, frac), {})[row[4]] = float(row[5])

@@ -10,14 +10,11 @@ reads. Single-threaded HiGHS is deterministic, so the same sequence of
 models produces identical solutions regardless of scheduling.
 
 A `CellSolver` keeps one HiGHS instance across models that differ only in
-their column and row bounds, as `problem.without_delay` and
-`problem.retarget` make them. Its first model is solved from scratch with
-presolve (a cold start); each later one is sent as its changed bounds, and
-HiGHS's dual simplex re-solves from the last basis, skipping presolve (a
-warm start). A model with more rows or columns does better cold, through
-presolve, than from a smaller one's basis. A campaign cell so solves its
-flexibility LP and its zero-delay restriction on one CellSolver, and its
-cost relaxation at each fraction on another. `solve(model)` is the first
+their row bounds, as `problem.retarget` makes them. Its first model is
+solved from scratch with presolve (a cold start); each later one is sent
+as its changed row bounds, and HiGHS's dual simplex re-solves from the last
+basis, skipping presolve (a warm start). A campaign cell so solves its cost
+relaxation at each fraction on one CellSolver. `solve(model)` is the first
 solve of a fresh CellSolver.
 
 A model with binaries is first solved as its LP relaxation, on the held
@@ -131,11 +128,11 @@ def _check(status, what):
 
 
 class CellSolver:
-    """One HiGHS instance, re-solved warm across models that differ in bounds.
+    """One HiGHS instance, re-solved warm across models that differ in row bounds.
 
     The first solve passes its model whole, as solve() does. Each later
-    model must have the held model's matrix, objective and sense
-    (ValueError otherwise); its column and row bounds may differ. The
+    model must have the held model's matrix, objective, sense and column
+    bounds (ValueError otherwise); its row bounds may differ. The
     instance holds LPs only: a MILP's relaxation runs on it, its
     branch-and-bound on a fresh instance of the whole model. While
     branch-and-bound runs, the held instance is given up and only its basis
@@ -190,28 +187,25 @@ class CellSolver:
         held = self._model
         if held is not None and not _same_lp(model, held):
             raise ValueError(f"{model!r} differs from the held {held!r} in more than "
-                             "its bounds")
+                             "its row bounds")
         if self._highs is None:  # the first solve, or given up for branch-and-bound
             self._highs = _new_highs(model, self.backend, relax=True)
             if self._basis is not None and self._basis.valid:
                 _check(self._highs.setBasis(self._basis), "the basis")
         else:
-            h = self._highs
-            cols = np.flatnonzero((model.var_lb != held.var_lb)
-                                  | (model.var_ub != held.var_ub)).astype(np.int32)
-            if cols.size:
-                _check(h.changeColsBounds(cols.size, cols, model.var_lb[cols],
-                                          model.var_ub[cols]), "the column bounds")
             for r in np.flatnonzero((model.row_lb != held.row_lb)
                                     | (model.row_ub != held.row_ub)).tolist():
-                _check(h.changeRowBounds(r, model.row_lb[r], model.row_ub[r]), "the row bounds")
+                _check(self._highs.changeRowBounds(r, model.row_lb[r], model.row_ub[r]),
+                       "the row bounds")
         self._model = model
 
 
 def _same_lp(model: ModelInstance, held: ModelInstance) -> bool:
-    """Whether the model has the held one's matrix, objective and sense."""
+    """Whether the model has the held one's matrix, objective, sense and column bounds."""
     a, b = model.a_matrix, held.a_matrix
     return (model.sense == held.sense and np.array_equal(model.obj, held.obj)
+            and np.array_equal(model.var_lb, held.var_lb)
+            and np.array_equal(model.var_ub, held.var_ub)
             and (a is b or (a.shape == b.shape and (a != b).nnz == 0)))
 
 

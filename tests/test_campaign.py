@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -217,7 +217,7 @@ def test_costmin_campaign_tiny_b_dynamic_quota():
 
 
 def test_quota_cost_cell_at_zero_delay_solves_one_lp(monkeypatch):
-    """At delay 0.0 the cell's LP is the zero-delay LP the quota bound needs."""
+    """A quota cost cell solves its flexibility LP and its cost model, no more."""
     jobs, spec = tiny_b_jobs(), tiny_b_spec()
     seed = _find_seed_with_window_at_step_one(0.25, 2920.0, 0.0)
     services = service_grid([0.25], [2920.0], TINY_GRID)
@@ -226,17 +226,15 @@ def test_quota_cost_cell_at_zero_delay_solves_one_lp(monkeypatch):
     result = run_costmin_campaign(jobs, spec, ECON, TINY_GRID, services, [0.0], [1.0],
                                   dq=dq, master_seed=seed)
     assert counts["build_flexmax"] == 1 and counts["build_costmin"] == 1
-    assert counts["without_delay"] == 0 and counts["solve"] == 2
+    assert counts["solve"] == 2
     monkeypatch.undo()
 
-    # the cell as it reads with the zero-delay LP solved on its own
+    # the cell as it reads with each model solved on its own
     part, base = campaign._prepare_horizon(jobs, spec, TINY_GRID, 1, seed, 100, True)
     plan = campaign._cell_plan(TINY_GRID, services[0], 0.0, 1, seed)
     spec_0 = spec.with_max_delay(0.0)
     s_max = solve(build_flexmax(part, spec_0, base, plan, dq)).mean_flex_kw
-    s_zero = solve(build_flexmax(part, spec_0, base, plan, dq)).mean_flex_kw
-    sol = solve(build_costmin(part, spec_0, ECON, base, plan, s_max, dq=dq,
-                              zero_delay_flex_kw=s_zero))
+    sol = solve(build_costmin(part, spec_0, ECON, base, plan, s_max, dq=dq))
     shifted_kwh = TINY_GRID.step_hours * plan.count * plan.duration_steps * s_max
     cell = result.cell(0.25, 2920.0, 0.0, 1.0)
     assert cell.mean_flex_kw == s_max
@@ -354,9 +352,8 @@ def test_costmin_campaign_worker_count_invariance():
                                                   rel=1e-12)
 
 
-LAYER_NAMES = ("build_flexmax", "build_costmin", "retarget", "without_delay",
-               "sample_activations", "partition_to_horizon", "aggregate_daily",
-               "baseline_profile")
+LAYER_NAMES = ("build_flexmax", "build_costmin", "retarget", "sample_activations",
+               "partition_to_horizon", "aggregate_daily", "baseline_profile")
 
 
 def _count_layer_calls(monkeypatch) -> Counter:
@@ -392,9 +389,9 @@ def test_campaign_calls_each_layer_through_its_module_name(monkeypatch):
                              sample_activations=cells, partition_to_horizon=2,
                              aggregate_daily=2, baseline_profile=2)
 
-    # under dynamic quota every cell adds the zero-delay restriction of its
-    # LP, and each fraction but the degenerate 0.0 one adds a cost solve: the
-    # cost model is built once, at fraction 1.0, and retargeted to 0.5.
+    # under dynamic quota each fraction but the degenerate 0.0 one adds a
+    # cost solve: the cost model is built once, at fraction 1.0, and
+    # retargeted to 0.5.
     # Horizon 1's four cost models have binaries: each is solved as its LP
     # relaxation first, and the three whose relaxation is fractional go on
     # to branch-and-bound
@@ -402,8 +399,8 @@ def test_campaign_calls_each_layer_through_its_module_name(monkeypatch):
     result = run_costmin_campaign(jobs, spec, ECON, grid, services, delays,
                                   [0.0, 0.5, 1.0], dq=DqParams(True, 0.5), master_seed=5)
     assert [c.degenerate for c in result.cells.values()] == [True, False, False] * 2
-    assert counts == Counter(build_flexmax=cells, without_delay=cells, build_costmin=cells,
-                             retarget=cells, solve=4 * cells, _run_highs=4 * cells + 3,
+    assert counts == Counter(build_flexmax=cells, build_costmin=cells,
+                             retarget=cells, solve=3 * cells, _run_highs=3 * cells + 3,
                              relaxation=4,
                              sample_activations=cells, partition_to_horizon=2,
                              aggregate_daily=2, baseline_profile=2)
@@ -441,27 +438,26 @@ def test_mixed_fractions_give_the_pair_of_campaigns_with_fewer_lps(monkeypatch):
     counts = _count_layer_calls(monkeypatch)
     both = run_campaign(jobs, spec, ECON, grid, services, [0.5], [None, 1.0], dq=dq,
                         master_seed=5)
-    # one flexibility LP and one zero-delay restriction of it per pair,
-    # shared by both cells
-    assert counts["build_flexmax"] == counts["without_delay"] == pairs
-    assert counts["solve"] == 3 * pairs
+    # one flexibility LP per pair, shared by both cells
+    assert counts["build_flexmax"] == pairs
+    assert counts["solve"] == 2 * pairs
     counts.clear()
     flex = run_flexmax_campaign(jobs, spec, grid, services, [0.5], dq=dq, master_seed=5)
     cost = run_costmin_campaign(jobs, spec, ECON, grid, services, [0.5], [1.0], dq=dq,
                                 master_seed=5)
-    assert counts["build_flexmax"] == 2 * pairs and counts["without_delay"] == pairs
-    assert counts["solve"] == 4 * pairs
+    assert counts["build_flexmax"] == 2 * pairs
+    assert counts["solve"] == 3 * pairs
     assert both.kind == cost.kind == "costmin"
     assert both.to_json_dict()["cells"] == {**flex.to_json_dict()["cells"],
                                             **cost.to_json_dict()["cells"]}
 
     # a run without cost cells is a flexibility run whatever econ it is
-    # given: no zero-delay LP, no econ echo
+    # given: no cost model, no econ echo
     counts.clear()
     econ_given = run_campaign(jobs, spec, ECON, grid, services, [0.5], [None], dq=dq,
                               master_seed=5)
     assert counts["build_flexmax"] == counts["solve"] == pairs
-    assert counts["without_delay"] == 0
+    assert counts["build_costmin"] == 0
     assert econ_given.to_json() == flex.to_json()
     with pytest.raises(ValueError, match="EconParams"):
         run_campaign(jobs, spec, None, grid, services, [0.5], [None, 1.0])
@@ -504,10 +500,11 @@ def warm_and_cold():
     """Criterion 10's cost campaign with and without quota, replayed cold.
 
     Per quota setting: the cells at fractions (0.9, 1.0) and at (1.0, 0.9),
-    and per model a CellSolver solved in the second run, in order, (warm
-    solution, run, start, cold solution, run), the cold ones from solve()
-    on that model.
+    and per model solved in the second run, by solve() or on a CellSolver,
+    in order, (warm solution, run, start, cold solution, run), the cold
+    ones from solve() on that model.
     """
+    solve_module = importlib.import_module("dcflex.solve")
     table, spec, grid, services = _general_like(20)
     out = {}
     for dq in (DqParams(True, 0.5), NO_DQ):
@@ -524,6 +521,7 @@ def warm_and_cold():
             solved.clear()
             with pytest.MonkeyPatch.context() as patch, _solve_log() as messages:
                 patch.setattr(campaign, "CellSolver", Recording)
+                patch.setattr(solve_module, "CellSolver", Recording)
                 result = run_costmin_campaign(table, spec, EconParams(), grid, services,
                                               [0.2], fractions, dq=dq, master_seed=11)
             cells.append(result.to_json_dict()["cells"])
@@ -539,12 +537,11 @@ def warm_and_cold():
 @pytest.mark.parametrize("quota", [True, False])
 def test_warm_cell_solves_agree_with_cold_solves(warm_and_cold, quota):
     _, replay = warm_and_cold[quota]
-    # per horizon: the LP and, under quota, its zero-delay restriction on one
-    # CellSolver, then the cost models at 1.0 and 0.9 on another
-    per_cell = 4 if quota else 3
+    # per horizon: the LP by solve(), then the cost models at 1.0 and 0.9 on
+    # one CellSolver
+    per_cell = 3
     assert len(replay) == 2 * per_cell
-    starts = ["cold", "warm", "cold", "warm"] if quota else ["cold", "cold", "warm"]
-    assert [start for _, _, start, _, _ in replay] == starts * 2
+    assert [start for _, _, start, _, _ in replay] == ["cold", "cold", "warm"] * 2
     for i, (warm, run, _, cold, cold_run) in enumerate(replay):
         assert (warm.status, run) == (cold.status, cold_run), i
         assert warm.ok, i
@@ -566,7 +563,7 @@ def test_fraction_order_does_not_change_the_cells(warm_and_cold, quota):
 @pytest.mark.parametrize("quota", [True, False])
 def test_first_cost_solve_of_a_cell_is_a_cold_solve(warm_and_cold, quota):
     _, replay = warm_and_cold[quota]
-    per_cell = 4 if quota else 3
+    per_cell = 3
     for i in range(per_cell - 2, len(replay), per_cell):  # the cost model at 1.0
         warm, run, start, cold, cold_run = replay[i]
         assert (start, warm.status, run) == ("cold", cold.status, cold_run), i
@@ -585,7 +582,7 @@ def test_fraction_after_branch_and_bound_starts_warm_on_a_new_instance(monkeypat
     spec_d = spec.with_max_delay(0.2)
     s_max = solve(build_flexmax(part, spec_d, base, plan)).mean_flex_kw
     cost = build_costmin(part, spec_d, EconParams(), base, plan, s_max)
-    moved = retarget(cost, spec_d, plan, 0.9 * s_max)
+    moved = retarget(cost, 0.9 * s_max)
     cell = CellSolver()
     with _solve_log() as messages:
         cell.solve(cost)
@@ -617,31 +614,6 @@ def test_warm_solves_take_fewer_iterations_than_cold(warm_and_cold):
     warm = sum(w.stats.iterations for w, *_ in replay)
     cold = sum(c.stats.iterations for *_, c, _ in replay)
     assert warm < cold
-
-
-def test_failed_zero_delay_lp_leaves_a_valid_quota_bound(monkeypatch, caplog):
-    table, spec, grid, services = _general_like(10)
-    dq, econ = DqParams(True, 0.5), EconParams()
-    args = (table, spec, econ, grid, services, [0.2], [1.0])
-    sound = run_costmin_campaign(*args, dq=dq, master_seed=11).cell(0.25, 365.0, 0.2, 1.0)
-    # no job may run: the restricted LP is infeasible
-    monkeypatch.setattr(campaign, "without_delay", lambda model, jobs: replace(
-        model, var_ub=np.zeros_like(model.var_ub)))
-    with caplog.at_level(logging.WARNING, logger="dcflex.campaign"):
-        failed = run_costmin_campaign(*args, dq=dq, master_seed=11).cell(0.25, 365.0, 0.2, 1.0)
-    assert "the zero-delay LP ended infeasible" in caplog.text
-    assert failed.statuses == sound.statuses == ("optimal",)
-    assert failed.acof == pytest.approx(sound.acof, rel=1e-9)
-
-    # the stand-in S_a = 0 that a failed LP used to get overstates the bound,
-    # and the bound row cuts off the optimum
-    part, base = campaign._prepare_horizon(table, spec, grid, 1, 11, 100, True)
-    plan = campaign._cell_plan(grid, services[0], 0.2, 1, 11)
-    target = sound.mean_flex_kw
-    cut = solve(build_costmin(part, spec.with_max_delay(0.2), econ, base, plan, target,
-                              dq=dq, zero_delay_flex_kw=0.0))
-    shifted_kwh = grid.step_hours * plan.count * plan.duration_steps * target
-    assert cut.total_cost / shifted_kwh > 5 * sound.acof
 
 
 def test_bench_output_checks_accept_campaign_results():

@@ -231,6 +231,17 @@ def test_ingest_pricing_output_quotes_fields(tmp_path):
     assert options == [["alpha", "gpu", 'A100, SXM "80GB"', "1.0", "2.0", "500.0", "2.0", "0"]]
 
 
+def test_ingest_reports_a_non_utf8_trace(tmp_path, capsys):
+    src = tmp_path / "latin1.csv"
+    src.write_bytes(b"id,submit_unix_s,start_unix_s,end_unix_s,resources\n"
+                    b"caf\xe9,0,0,3600,1\n")
+    out = tmp_path / "out.csv"
+    assert cli_main(["ingest", "--trace", str(src), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: job trace {src} is not UTF-8: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sources", [
     ["--trace", "a.csv", "--prices", "b.csv"], ["--pricing", "a.csv", "--trace", "b.csv"], [],
 ], ids=["trace_and_prices", "pricing_and_trace", "none"])

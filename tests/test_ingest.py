@@ -14,8 +14,8 @@ from dcflex.ingest import (
     write_price_series,
 )
 from dcflex.model import TimeGrid
-from dcflex.preprocess import read_job_table
-from dcflex.report import load_grid_csv
+from dcflex.preprocess import JOB_STEP_COLUMNS, read_job_table
+from dcflex.report import GRID_CSV_COLUMNS, load_grid_csv
 
 DATA = Path(__file__).parent / "data"
 GRID = TimeGrid(15, 960)
@@ -260,3 +260,27 @@ def test_every_reader_rejects_empty_and_missing_files(tmp_path, read, what):
         read(empty)
     with pytest.raises(IngestError, match=f"^cannot read {what} .*nope.csv: "):
         read(tmp_path / "nope.csv")
+
+
+@pytest.mark.parametrize("read, what, header, row", [
+    (read_job_table, "job table", JOB_STEP_COLUMNS, "a,1"),
+    (load_grid_csv, "grid CSV", GRID_CSV_COLUMNS, "1.0,365.0"),
+], ids=["job_table", "grid_csv"])
+def test_step_readers_reject_short_rows(tmp_path, read, what, header, row):
+    path = tmp_path / "short.csv"
+    path.write_text(",".join(header) + "\n" + row + "\n")
+    with pytest.raises(IngestError, match=f"^{what} .*short.csv line 2: 2 fields, the "
+                                          f"header has {len(header)}$"):
+        read(path)
+
+
+@pytest.mark.parametrize("good_rows", [0, 1000], ids=["in_header_block", "in_a_later_block"])
+def test_non_utf8_trace_is_rejected_with_its_path(tmp_path, good_rows):
+    # 1000 rows put the byte past the first block the text layer decodes, so
+    # the error rises from the parser's own loop rather than the header read
+    path = tmp_path / "latin1.csv"
+    rows = b"".join(b"j%d,0,0,3600,1\n" % i for i in range(good_rows))
+    path.write_bytes(b"id,submit_unix_s,start_unix_s,end_unix_s,resources\n" + rows
+                     + b"caf\xe9,0,0,3600,1\n")
+    with pytest.raises(IngestError, match="^job trace .*latin1.csv is not UTF-8: "):
+        parse_job_trace(path)

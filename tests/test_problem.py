@@ -7,16 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import sparse
 
-from dcflex import campaign
-from dcflex.model import (
-    ActivationPlan,
-    DataCenterSpec,
-    JobTable,
-    ServiceSpec,
-    TimeGrid,
-    round_half_away,
-)
-from dcflex.preprocess import baseline_profile, discretize, zero_queue
+from dcflex.model import ActivationPlan, JobTable, TimeGrid, round_half_away
+from dcflex.preprocess import baseline_profile
 from dcflex.problem import (
     DqParams,
     ModelBuildError,
@@ -27,10 +19,8 @@ from dcflex.problem import (
     retarget,
     tightening_bound,
     to_lp_text,
-    without_delay,
 )
-from dcflex.solve import DEFAULT_BACKEND, CellSolver, SolverBackend, _run_highs, solve
-from dcflex.synth import generate_synthetic_trace
+from dcflex.solve import DEFAULT_BACKEND, SolverBackend, _run_highs, solve
 
 from conftest import ECON, random_instance, random_plan, tiny_a_spec
 
@@ -100,13 +90,6 @@ def test_tightening_bound_values(tiny_a):
     jobs, spec, base, plan = tiny_a
     assert tightening_bound(ECON, spec, plan, 2.0) == pytest.approx(0.25)
     assert tightening_bound(ECON, spec, plan, 0.0) == 0.0
-    dq = DqParams(True, 0.5)
-    assert tightening_bound(ECON, spec, plan, 1.0, dq=dq, zero_delay_flex_kw=1.0) == 0.0
-    assert tightening_bound(ECON, spec, plan, 1.0, dq=dq, zero_delay_flex_kw=2.0) == 0.0
-    got = tightening_bound(ECON, spec, plan, 3.0, dq=dq, zero_delay_flex_kw=1.0)
-    assert got == pytest.approx(0.5 * 1 * 1 * 0.25 * 1.0 * (3.0 - 1.0) / (1.0 * 1.5))
-    with pytest.raises(ValueError, match="zero_delay_flex_kw"):
-        tightening_bound(ECON, spec, plan, 1.0, dq=dq)
 
 
 def test_costmin_binaries_only_run_flags(tiny_a):
@@ -128,7 +111,8 @@ def test_lp_text_export(tiny_a):
     lp2 = to_lp_text(build_costmin(jobs, spec, ECON, base, plan, 1.0))
     assert "Minimize" in lp2
     assert "Binaries" in lp2 and " xp_0_3" in lp2
-    assert "cost_bound:" in lp2
+    # the target row is the last one: the relaxation implies the cost bound
+    assert lp2.split("\nBounds\n")[0].endswith(" service_target: 1.0 s_0 >= 1.0")
 
 
 def test_tiny_b_true_optimum_oracle(tiny_b):
@@ -159,35 +143,51 @@ def test_tiny_b_true_optimum_oracle(tiny_b):
     assert sol.mean_flex_kw == pytest.approx(oracle, abs=1e-7)
 
     cost = solve(build_costmin(jobs, spec, ECON, base, plan, sol.mean_flex_kw,
-                               dq=DqParams(True, 0.5),
-                               zero_delay_flex_kw=sol.mean_flex_kw), TIGHT)
+                               dq=DqParams(True, 0.5)), TIGHT)
     shifted_kwh = 0.25 * sol.mean_flex_kw
     assert cost.total_cost - cost.extra_energy_cost == pytest.approx(0.0, abs=1e-9)
     assert cost.extra_energy_cost / shifted_kwh == pytest.approx(0.05, abs=1e-7)
 
 
-def costmin_without(jobs, spec, base, plan, target, dq=DqParams(), cost_bound=True,
+def costmin_without(jobs, spec, base, plan, target, dq=DqParams(), cost_bound=False,
                     end_floors=True) -> ModelInstance:
-    """The reference builder's cost model, with its cost_bound row or its
-    endfloor rows left out (build_costmin always has both)."""
+    """The reference builder's cost model, with or without a cost_bound row
+    (build_costmin has none, and the row needs dq off) and with or without
+    its endfloor rows (build_costmin has them)."""
     return _as_instance("costmin", "min", _reference_costmin(
-        jobs, spec, ECON, base, plan, target, dq, cost_bound, None, end_floors))
+        jobs, spec, ECON, base, plan, target, dq, cost_bound, end_floors))
 
 
-def test_tighten_constraint_preserves_optimum_on_fixtures(tiny_a, tiny_b):
+def test_tighten_constraint_preserves_optimum_on_fixtures(tiny_a):
     jobs, spec, base, plan = tiny_a
-    with_bound = solve(build_costmin(jobs, spec, ECON, base, plan, 2.0), TIGHT)
-    without = solve(costmin_without(jobs, spec, base, plan, 2.0, cost_bound=False), TIGHT)
+    with_bound = solve(costmin_without(jobs, spec, base, plan, 2.0, cost_bound=True), TIGHT)
+    without = solve(build_costmin(jobs, spec, ECON, base, plan, 2.0), TIGHT)
     assert abs(with_bound.total_cost - without.total_cost) < 1e-9
 
-    jobs, spec, base, plan = tiny_b
-    dq = DqParams(True, 0.5)
-    s_max = solve(build_flexmax(jobs, spec, base, plan, dq)).mean_flex_kw
-    with_bound = solve(build_costmin(jobs, spec, ECON, base, plan, s_max, dq=dq,
-                                     zero_delay_flex_kw=s_max), TIGHT)
-    without = solve(costmin_without(jobs, spec, base, plan, s_max, dq, cost_bound=False),
-                    TIGHT)
-    assert abs(with_bound.total_cost - without.total_cost) < 1e-9
+
+def _relaxation_objective(model) -> float:
+    status, info, _, _ = _run_highs(model, DEFAULT_BACKEND, relax=True)
+    assert status.name == "kOptimal"
+    return info.objective_function_value + model.obj_const
+
+
+def test_costmin_relaxation_implies_the_tightening_bound(tiny_a):
+    """The LP relaxation of build_costmin is never below tightening_bound, so
+    a cost_bound row would cut nothing (see the problem module docstring);
+    on criterion 04's instances and on tiny_a."""
+    jobs, spec, base, plan = tiny_a
+    for target in (2.0, 1.0):
+        assert _relaxation_objective(build_costmin(jobs, spec, ECON, base, plan, target)) \
+            >= tightening_bound(ECON, spec, plan, target) - 1e-9
+    rng = np.random.default_rng(404)
+    for _ in range(100):
+        grid, jobs, spec, base = random_instance(rng)
+        plan = random_plan(rng, grid)
+        flex = solve(build_flexmax(jobs, spec, base, plan))
+        assert flex.ok
+        target = float(rng.uniform(0.0, 1.0)) * flex.mean_flex_kw
+        relaxed = _relaxation_objective(build_costmin(jobs, spec, ECON, base, plan, target))
+        assert relaxed >= tightening_bound(ECON, spec, plan, target) - 1e-9
 
 
 def test_strengthening_rows_do_not_change_optimum():
@@ -200,10 +200,9 @@ def test_strengthening_rows_do_not_change_optimum():
         if not flex.ok or flex.mean_flex_kw < 1e-6:
             continue
         target = float(rng.uniform(0.2, 1.0)) * flex.mean_flex_kw
-        plain = solve(costmin_without(jobs, spec, base, plan, target, cost_bound=False,
-                                      end_floors=False), TIGHT)
-        strong = solve(costmin_without(jobs, spec, base, plan, target, cost_bound=False),
-                       TIGHT)
+        plain = solve(costmin_without(jobs, spec, base, plan, target, end_floors=False),
+                      TIGHT)
+        strong = solve(costmin_without(jobs, spec, base, plan, target), TIGHT)
         assert plain.ok and strong.ok
         assert strong.total_cost == pytest.approx(plain.total_cost, abs=1e-7)
         checked += 1
@@ -359,7 +358,7 @@ def _reference_flexmax(jobs, spec, baseline, plan, dq) -> dict:
 
 
 def _reference_costmin(jobs, spec, econ, baseline, plan, target_kw, dq, tighten,
-                       zero_delay_flex_kw, strengthen) -> dict:
+                       strengthen) -> dict:
     b = _ReferenceBuilder()
     meta = _reference_core(b, jobs, spec, baseline, plan, dq)
     n_jobs = len(jobs)
@@ -400,8 +399,9 @@ def _reference_costmin(jobs, spec, econ, baseline, plan, target_kw, dq, tighten,
     b.row("service_target", [s0 + i for i in range(plan.count)], [1.0] * plan.count,
           plan.count * target_kw, math.inf)
     if tighten:
-        bound = tightening_bound(econ, spec, plan, target_kw, dq=dq,
-                                 zero_delay_flex_kw=zero_delay_flex_kw)
+        # the analytic bound, valid only without dynamic quota
+        assert not dq.enabled
+        bound = tightening_bound(econ, spec, plan, target_kw)
         b.row("cost_bound", [int(c) for c in c_col], [1.0] * n_jobs, bound, math.inf)
     obj_cols, obj_vals, obj_const = [c_col[j] for j in range(n_jobs)], [1.0] * n_jobs, 0.0
     if dq.enabled:
@@ -537,8 +537,8 @@ def test_array_assembly_matches_reference_builder():
         unbudgeted = _budget_free(ref, jobs, dq)
         _assert_same_model(build_flexmax(jobs, spec, base, plan, dq),
                            _without_counters(ref, unbudgeted))
-        ref = _reference_costmin(jobs, spec, ECON, base, plan, target, dq, True, 0.25, True)
-        _assert_same_model(build_costmin(jobs, spec, ECON, base, plan, target, dq, 0.25),
+        ref = _reference_costmin(jobs, spec, ECON, base, plan, target, dq, False, True)
+        _assert_same_model(build_costmin(jobs, spec, ECON, base, plan, target, dq),
                            _without_counters(ref, unbudgeted))
         steps = plan.grid.steps
         clipped += any(int(a) + round_half_away((1.0 + spec.max_delay_frac) * int(d)) - 1
@@ -552,7 +552,8 @@ def test_array_assembly_matches_reference_builder():
 
 def test_budget_free_deletion_keeps_the_optima():
     """Reduced and reference models share the LP optimum and the cost-MILP optimum,
-    also where the reference leaves out the cost_bound row or the endfloor rows."""
+    also where the reference adds the cost_bound row (without quota) or leaves
+    out the endfloor rows."""
     compared = 0
     for jobs, spec, base, plan, dq, target, tighten, strengthen in _reference_cases():
         try:
@@ -565,12 +566,10 @@ def test_budget_free_deletion_keeps_the_optima():
         assert lp.mean_flex_kw == pytest.approx(lp_ref.mean_flex_kw, abs=1e-9)
         # the case's target in [0, 2] read as a share of the optimum in [0, 1]
         target = target / 2.0 * lp.mean_flex_kw
-        # the bound row is valid only at the true delay-free optimum S_a
-        s_zero = solve(build_flexmax(jobs, spec.with_max_delay(0.0), base, plan, dq)
-                       ).mean_flex_kw if dq.enabled else None
-        cost = solve(build_costmin(jobs, spec, ECON, base, plan, target, dq, s_zero))
+        cost = solve(build_costmin(jobs, spec, ECON, base, plan, target, dq))
         cost_ref = solve(_as_instance("costmin", "min", _reference_costmin(
-            jobs, spec, ECON, base, plan, target, dq, tighten, s_zero, strengthen)))
+            jobs, spec, ECON, base, plan, target, dq, tighten and not dq.enabled,
+            strengthen)))
         assert cost.status == cost_ref.status
         if cost.ok:
             within = max(cost.stats.primal_bound - cost.stats.dual_bound,
@@ -612,61 +611,8 @@ def _same_arrays(model, other):
 
 def test_retarget_gives_the_cost_model_built_at_the_target(tiny_a):
     jobs, spec, base, plan = tiny_a
-    for dq, s_zero in ((DqParams(False, 0.5), None), (DqParams(True, 0.5), 1.0)):
-        first = build_costmin(jobs, spec, ECON, base, plan, 2.0, dq=dq,
-                              zero_delay_flex_kw=s_zero)
-        # targets above and below S_a, where the quota bound is 0
+    for dq in (DqParams(False, 0.5), DqParams(True, 0.5)):
+        first = build_costmin(jobs, spec, ECON, base, plan, 2.0, dq=dq)
         for target in (1.5, 0.5, 0.0):
-            built = build_costmin(jobs, spec, ECON, base, plan, target, dq=dq,
-                                  zero_delay_flex_kw=s_zero)
-            _same_arrays(retarget(first, spec, plan, target, s_zero), built)
-        assert first.row_lb[-1] > 0.0  # the first model's bound was not 0
-
-
-def _budgeted(model) -> set:
-    """The jobs that carry a preemption counter in the model."""
-    return {int(j) for name, _, index, *_ in model.families[0] if name == "np"
-            for j in index[0]}
-
-
-def _assert_zero_delay_restriction(jobs, spec, base, plan, dq, delay):
-    """without_delay at the delay has the optimum of the LP built at delay 0,
-    solved cold and on the CellSolver that solved the LP."""
-    flex = build_flexmax(jobs, spec.with_max_delay(delay), base, plan, dq)
-    zero = build_flexmax(jobs, spec.with_max_delay(0.0), base, plan, dq)
-    expected = solve(zero).mean_flex_kw
-    cell = CellSolver()
-    assert cell.solve(flex).ok
-    for sol in (cell.solve(without_delay(flex, jobs)), solve(without_delay(flex, jobs))):
-        assert sol.ok and sol.mean_flex_kw == pytest.approx(expected, rel=1e-9, abs=1e-12)
-    return flex, zero, expected
-
-
-def test_zero_delay_restriction_on_tiny_b(tiny_b):
-    jobs, spec, base, plan = tiny_b
-    flex, _, expected = _assert_zero_delay_restriction(jobs, spec, base, plan,
-                                                       DqParams(True, 0.5), 1.0)
-    # quota shifts 0.5 kW without any delay (criterion 06), and the delay
-    # adds to it
-    assert expected == pytest.approx(0.5, abs=1e-9)
-    assert solve(flex).mean_flex_kw > expected + 0.1
-
-
-@pytest.mark.parametrize("delay", [0.2, 0.5])
-def test_zero_delay_restriction_on_a_general_like_horizon(delay):
-    spec = DataCenterSpec(total_resources=100.0, unit_power_kw=1.0, fixed_power_kw=0.0,
-                          preempt_overhead_min=0.5, preempt_budget_frac=0.01,
-                          max_delay_frac=0.2, device_class="cpu_general")
-    grid = TimeGrid(15, 960)
-    table = discretize(zero_queue(generate_synthetic_trace("general_like", 20, 0, grid,
-                                                           spec)), grid)
-    part, base = campaign._prepare_horizon(table, spec, grid, 1, 11, 100, True)
-    svc = ServiceSpec.from_requirements(0.25, 365.0, grid)
-    plan = campaign._cell_plan(grid, svc, delay, 1, 11)
-    # at K = 0.25 a job idles at most D/5 steps at delay 0, below its cap of
-    # 0.3 D preemptions, and up to (0.2 + delay) D at the delay
-    flex, zero, _ = _assert_zero_delay_restriction(part, spec, base, plan,
-                                                   DqParams(True, 0.25), delay)
-    # jobs whose counter rows the restriction keeps but the zero-delay LP
-    # does not have
-    assert _budgeted(zero) < _budgeted(flex)
+            built = build_costmin(jobs, spec, ECON, base, plan, target, dq=dq)
+            _same_arrays(retarget(first, target), built)

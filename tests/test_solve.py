@@ -9,7 +9,7 @@ from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from dcflex.model import ActivationPlan, JobTable
 from dcflex.preprocess import baseline_profile
-from dcflex.problem import DqParams, build_costmin, build_flexmax, retarget, without_delay
+from dcflex.problem import DqParams, build_costmin, build_flexmax, retarget
 from dcflex.solve import (
     _INTEGER_TOL,
     DEFAULT_BACKEND,
@@ -197,12 +197,8 @@ def _oracle_models():
         for dq in (DqParams(False, 0.5), DqParams(True, 0.5)):
             flex = build_flexmax(jobs, spec, base, plan, dq)
             yield flex
-            s_zero = None
-            if dq.enabled:
-                s_zero = solve(build_flexmax(jobs, spec.with_max_delay(0.0), base, plan,
-                                             dq)).mean_flex_kw
             yield build_costmin(jobs, spec, ECON, base, plan, 0.5 * solve(flex).mean_flex_kw,
-                                dq=dq, zero_delay_flex_kw=s_zero)
+                                dq=dq)
     jobs, spec = tiny_a_jobs(), tiny_a_spec()
     plan = ActivationPlan(windows=((1, 1),), grid=TINY_GRID)
     yield build_costmin(jobs, spec, ECON, baseline_profile(jobs, spec, TINY_GRID), plan, 3.0)
@@ -412,19 +408,22 @@ def test_cell_solver_takes_only_models_that_differ_in_bounds(tiny_a):
     cell = CellSolver()
     flex = build_flexmax(jobs, spec, base, plan, DqParams(True, 0.5))
     assert cell.solve(flex).ok
+    var_ub = flex.var_ub.copy()
+    var_ub[0] = 0.0
     # fewer columns, the same shape with other completion coefficients,
-    # another objective and another sense
+    # another objective, another sense and another column bound
     for other in (build_flexmax(jobs, spec.with_max_delay(0.0), base, plan),
                   build_flexmax(jobs, spec, base, plan, DqParams(True, 0.25)),
-                  replace(flex, obj=2.0 * flex.obj), replace(flex, sense="min")):
-        with pytest.raises(ValueError, match="in more than its bounds"):
+                  replace(flex, obj=2.0 * flex.obj), replace(flex, sense="min"),
+                  replace(flex, var_ub=var_ub)):
+        with pytest.raises(ValueError, match="in more than its row bounds"):
             cell.solve(other)
     # a refused model leaves the instance as it was
-    _agree(cell.solve(without_delay(flex, jobs)), solve(without_delay(flex, jobs)))
+    _agree(cell.solve(flex), solve(flex))
 
     cost = build_costmin(jobs, spec, ECON, base, plan, 2.0)
     cell = CellSolver()
     _agree(cell.solve(cost), solve(cost))
     for target in (1.0, 0.5):
-        moved = retarget(cost, spec, plan, target)
+        moved = retarget(cost, target)
         _agree(cell.solve(moved), solve(moved))
