@@ -5,6 +5,8 @@
 # covers step 1. With a 100% delay allowance both jobs can vacate step 1
 # entirely, so the sustained flexibility equals the full 2 kW baseline.
 
+from pathlib import Path
+
 from dcflex import (
     ActivationPlan,
     DataCenterSpec,
@@ -16,7 +18,7 @@ from dcflex import (
     build_flexmax,
     solve,
     tightening_bound,
-    to_lp_text,
+    write_model,
 )
 
 grid = TimeGrid(step_minutes=15, steps=4)
@@ -45,6 +47,9 @@ print("analytic lower bound [USD]:", tightening_bound(econ, spec, plan, 2.0))
 shifted_kwh = grid.step_hours * plan.count * plan.duration_steps * 2.0
 print("average cost of flexibility [USD/kWh]:", cost.total_cost / shifted_kwh)
 
-# the models export to LP text for inspection with external tools
-print("\nfirst lines of the LP export:")
-print("\n".join(to_lp_text(build_flexmax(jobs, spec, baseline, plan)).splitlines()[:6]))
+# the models export as LP or MPS files for inspection with external tools
+lp_file = Path(__file__).parent / "out" / "tiny_flexmax.lp"
+lp_file.parent.mkdir(exist_ok=True)
+write_model(build_flexmax(jobs, spec, baseline, plan), lp_file)
+print(f"\nfirst lines of {lp_file.name}:")
+print("\n".join(lp_file.read_text().splitlines()[:6]))

@@ -46,9 +46,8 @@ from .problem import (
     build_costmin,
     build_flexmax,
     tightening_bound,
-    to_lp_text,
 )
-from .solve import DEFAULT_BACKEND, SolverBackend, solve
+from .solve import DEFAULT_BACKEND, SolverBackend, solve, write_model
 from .campaign import (
     CampaignResult,
     CellKey,

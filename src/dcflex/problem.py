@@ -7,7 +7,7 @@ job (xp), e, delta, c; rows run per job (preempt, preempt_total),
 completion, then per step (capacity), power, flex, then sustain,
 quota_cap, per job (runflag, endmark), (endfloor), delay, jobcost,
 service_target. Names such as ``x_j_t`` (j is the job's position in the
-table) are rendered on first read, for LP text export and inspection.
+table) are rendered on first read, for `solve.write_model` and inspection.
 
 Formulation summary, per job j over its available period [a_j, b_j]:
   x[j,t] in [0,1]      completed workload proportion per step
@@ -63,9 +63,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:  # scipy loads at the first build: commands that build nothing skip it
+    from scipy import sparse
 
 from .model import (
     ActivationPlan,
@@ -213,6 +216,8 @@ class _Builder:
         obj = np.zeros(n)
         for cols, vals in objective:
             obj[cols] += vals
+        from scipy import sparse
+
         ri, ci, cv = (np.concatenate(part) for part in zip(*self._entries))
         a = sparse.coo_matrix((cv, (ri, ci)), shape=(m, n)).tocsr()
         return ModelInstance(
@@ -462,48 +467,3 @@ def tightening_bound(econ: EconParams, spec: DataCenterSpec, plan: ActivationPla
         * plan.grid.step_hours * econ.hourly_unit_price / spec.unit_power_kw
     return base * target_kw
 
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def to_lp_text(model: ModelInstance) -> str:
-    """Render a ModelInstance in LP text format for external inspection."""
-    lines = [f"\\ dcflex {model.kind} model"]
-    lines.append("Maximize" if model.sense == "max" else "Minimize")
-    terms = [f"{_fmt(c)} {model.var_names[i]}"
-             for i, c in enumerate(model.obj) if c != 0.0]
-    lines.append(" obj: " + (" + ".join(terms) if terms else "0"))
-    lines.append("Subject To")
-    a = model.a_matrix.tocsr()
-    for r, name in enumerate(model.row_names):
-        start, stop = a.indptr[r], a.indptr[r + 1]
-        expr = " + ".join(
-            f"{_fmt(a.data[k])} {model.var_names[a.indices[k]]}"
-            for k in range(start, stop)
-        ) or "0"
-        lo, hi = model.row_lb[r], model.row_ub[r]
-        if lo == hi:
-            lines.append(f" {name}: {expr} = {_fmt(lo)}")
-        elif math.isinf(hi):
-            lines.append(f" {name}: {expr} >= {_fmt(lo)}")
-        elif math.isinf(-lo):
-            lines.append(f" {name}: {expr} <= {_fmt(hi)}")
-        else:
-            lines.append(f" {name}_lo: {expr} >= {_fmt(lo)}")
-            lines.append(f" {name}_hi: {expr} <= {_fmt(hi)}")
-    lines.append("Bounds")
-    for i, name in enumerate(model.var_names):
-        lo, hi = model.var_lb[i], model.var_ub[i]
-        if math.isinf(-lo) and math.isinf(hi):
-            lines.append(f" {name} free")
-        elif math.isinf(hi):
-            lines.append(f" {_fmt(lo)} <= {name}")
-        else:
-            lines.append(f" {_fmt(lo)} <= {name} <= {_fmt(hi)}")
-    binaries = [model.var_names[i] for i in range(model.n_vars) if model.integrality[i]]
-    if binaries:
-        lines.append("Binaries")
-        lines.extend(f" {name}" for name in binaries)
-    lines.append("End")
-    return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Solver limits, warm re-solves and solution decoding.
+"""Solver limits, warm re-solves, model export and solution decoding.
 
 Every model, the flexibility LP and the cost MILP alike, is solved by
 direct calls into the HiGHS that scipy bundles, in `_run_highs`. That call
@@ -8,6 +8,12 @@ binding, which is used in this module and nowhere else; the public
 (variable-type objects, the basis, bound marginals) that nothing here
 reads. Single-threaded HiGHS is deterministic, so the same sequence of
 models produces identical solutions regardless of scheduling.
+
+The binding is imported inside the functions that call HiGHS, not at the
+top of the module: importing scipy takes about 0.4 s, which every dcflex
+command would otherwise pay, also those that solve nothing (``synth``,
+``preprocess``, ``report``, ...). The first solve of a process pays it.
+`write_model` hands a model to HiGHS too, which writes it as LP or MPS.
 
 A `CellSolver` keeps one HiGHS instance across models that differ only in
 their row bounds, as `problem.retarget` makes them. Its first model is
@@ -34,7 +40,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize._highspy import _core as highs
 
 from .model import ScheduleSolution, SolveStats
 from .problem import ModelInstance
@@ -77,6 +82,8 @@ def _new_highs(model: ModelInstance, backend: SolverBackend, relax: bool):
     A max model is held as the minimization of its negated objective; the
     options are the LP ones unless the model has binaries and relax is off.
     """
+    from scipy.optimize._highspy import _core as highs
+
     # log_to_console, not output_flag: switching all output off moves some
     # degenerate LPs to another of their optima
     options = {"log_to_console": False, "presolve": "on"}
@@ -110,6 +117,8 @@ def _run_highs(model: ModelInstance, backend: SolverBackend, relax: bool = False
     Returns (HighsModelStatus, HighsInfo, column values or None, seconds in
     run()); the values are read only when HiGHS holds a feasible solution.
     """
+    from scipy.optimize._highspy import _core as highs
+
     h = _new_highs(model, backend, relax) if held is None else held
     start = time.perf_counter()
     h.run()
@@ -123,6 +132,8 @@ def _run_highs(model: ModelInstance, backend: SolverBackend, relax: bool = False
 
 def _check(status, what):
     """Raise if HiGHS returned an error status for a change to its model."""
+    from scipy.optimize._highspy import _core as highs
+
     if status == highs.HighsStatus.kError:
         raise ValueError(f"HiGHS rejected {what}")
 
@@ -227,6 +238,27 @@ def solve(model: ModelInstance, backend: SolverBackend = DEFAULT_BACKEND) -> Sch
     exceeds the flexibility optimum.
     """
     return CellSolver(backend).solve(model)
+
+
+def write_model(model: ModelInstance, path) -> None:
+    """Write the model to path, as LP text if it ends in .lp, as MPS if in .mps.
+
+    HiGHS writes the file: the model in its own sense, with its objective
+    constant and with the columns and rows named by var_names and row_names.
+    """
+    from scipy.optimize._highspy import _core as highs
+
+    h = _new_highs(model, DEFAULT_BACKEND, relax=False)
+    if model.sense == "max":  # _new_highs holds it as a minimization
+        _check(h.changeObjectiveSense(highs.ObjSense.kMaximize), "the sense")
+        _check(h.changeColsCost(model.n_vars, np.arange(model.n_vars, dtype=np.int32),
+                                model.obj), "the objective")
+    _check(h.changeObjectiveOffset(model.obj_const), "the objective constant")
+    for i, name in enumerate(model.var_names):
+        _check(h.passColName(i, name), f"column name {name}")
+    for i, name in enumerate(model.row_names):
+        _check(h.passRowName(i, name), f"row name {name}")
+    _check(h.writeModel(str(path)), f"writing {path}")
 
 
 def _integral(model: ModelInstance, values: np.ndarray) -> bool:

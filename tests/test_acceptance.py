@@ -326,8 +326,7 @@ def test_criterion_10_determinism_across_workers(tmp_path):
 
 def test_cost_campaign_determinism_across_workers(tmp_path):
     # criterion 10 for a dynamic-quota cost campaign: two horizons of cost
-    # MILPs at fractions 0.9 and 1.0, each with its flexibility and
-    # zero-delay LPs
+    # MILPs at fractions 0.9 and 1.0, each after its flexibility LP
     spec = DataCenterSpec(
         total_resources=100.0, unit_power_kw=1.0, fixed_power_kw=0.0,
         preempt_overhead_min=0.5, preempt_budget_frac=0.01,

@@ -399,3 +399,14 @@ def test_module_entry_point_runs_without_warnings():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert "campaign" in proc.stdout
+
+
+def test_import_loads_no_scipy():
+    # scipy costs about 0.4 s to import; only building or solving a model loads it
+    path = os.pathsep.join(p for p in (PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", "import sys, dcflex, dcflex.cli; print("
+                           "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

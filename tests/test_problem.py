@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import sparse
+from scipy.optimize._highspy._core import HighsStatus, _Highs
 
 from dcflex.model import ActivationPlan, JobTable, TimeGrid, round_half_away
 from dcflex.preprocess import baseline_profile
@@ -18,9 +19,8 @@ from dcflex.problem import (
     build_flexmax,
     retarget,
     tightening_bound,
-    to_lp_text,
 )
-from dcflex.solve import DEFAULT_BACKEND, SolverBackend, _run_highs, solve
+from dcflex.solve import DEFAULT_BACKEND, SolverBackend, _run_highs, solve, write_model
 
 from conftest import ECON, random_instance, random_plan, tiny_a_spec
 
@@ -101,18 +101,40 @@ def test_costmin_binaries_only_run_flags(tiny_a):
     assert binaries == ["xp_0_3", "xp_0_4", "xp_1_3", "xp_1_4"]
 
 
-def test_lp_text_export(tiny_a):
+def _read_and_solve(path):
+    """HiGHS reading a written model back: its status, objective and names."""
+    h = _Highs()
+    h.setOptionValue("log_to_console", False)
+    assert h.readModel(str(path)) == HighsStatus.kOk
+    h.run()
+    cols = [h.getColName(i)[1] for i in range(h.getNumCol())]
+    rows = [h.getRowName(r)[1] for r in range(h.getNumRow())]
+    return (h.getModelStatus().name, h.getInfo().objective_function_value,
+            h.getObjectiveOffset()[1], cols, rows)
+
+
+def test_lp_text_export(tiny_a, tmp_path):
+    """A written model read back by HiGHS has solve()'s optimum, constant and names."""
     jobs, spec, base, plan = tiny_a
-    lp = to_lp_text(build_flexmax(jobs, spec, base, plan))
-    assert lp.startswith("\\ dcflex flexmax model\nMaximize\n obj: 1.0 s_0")
-    assert "completion_0:" in lp
-    assert " 0.0 <= x_0_1 <= 1.0" in lp
-    assert lp.rstrip().endswith("End")
-    lp2 = to_lp_text(build_costmin(jobs, spec, ECON, base, plan, 1.0))
-    assert "Minimize" in lp2
-    assert "Binaries" in lp2 and " xp_0_3" in lp2
-    # the target row is the last one: the relaxation implies the cost bound
-    assert lp2.split("\nBounds\n")[0].endswith(" service_target: 1.0 s_0 >= 1.0")
+    flex = build_flexmax(jobs, spec, base, plan)
+    # dynamic quota: binaries and a nonzero objective constant
+    quota = build_costmin(jobs, spec, ECON, base, plan, 1.0, DqParams(True, 0.5))
+    assert quota.n_binary > 0 and quota.obj_const == pytest.approx(-0.05)
+    optima = solve(flex, TIGHT).mean_flex_kw, solve(quota, TIGHT).total_cost
+    assert optima == pytest.approx((2.0, 0.125))
+    for model, optimum in zip((flex, quota), optima):
+        for suffix in (".lp", ".mps"):
+            path = tmp_path / f"{model.kind}{suffix}"
+            write_model(model, path)
+            status, objective, offset, cols, rows = _read_and_solve(path)
+            assert status == "kOptimal"
+            assert objective == pytest.approx(optimum, abs=1e-9)
+            assert offset == model.obj_const
+            # an LP file lists the columns in their order of first use
+            assert sorted(cols) == sorted(model.var_names)
+            assert rows == model.row_names
+    with pytest.raises(ValueError, match="HiGHS rejected writing"):
+        write_model(flex, tmp_path / "flexmax.txt")
 
 
 def test_tiny_b_true_optimum_oracle(tiny_b):
