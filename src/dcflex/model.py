@@ -298,7 +298,7 @@ class SolveStats:
     columns: int
     rows: int
     nonzeros: int
-    binaries: int
+    binaries: int                    # integer columns: running flags and integer delays
     iterations: int                  # simplex iterations of every HiGHS run
     nodes: int                       # branch-and-bound nodes, 0 if no MILP ran
     dual_bound: float | None

@@ -3,11 +3,11 @@
 Model building is pure and may run in parallel across horizon/service
 pairs. Each family of variables or rows is assembled as whole numpy
 arrays: columns run per job x, (z), (xdq), (np), then p, f, s, then per
-job (xp), e, delta, c; rows run per job (preempt, preempt_total),
-completion, then per step (capacity), power, flex, then sustain,
-quota_cap, per job (runflag, endmark), (endfloor), delay, jobcost,
-service_target. Names such as ``x_j_t`` (j is the job's position in the
-table) are rendered on first read, for `solve.write_model` and inspection.
+late job xp, d; rows run per job (preempt, preempt_total), completion,
+then per step (capacity), power, flex, then sustain, quota_cap, per late
+job (runflag, endmark), endfloor, then service_target. Names such as
+``x_j_t`` (j is the job's position in the table) are rendered on first
+read, for `solve.write_model` and inspection.
 
 Formulation summary, per job j over its available period [a_j, b_j]:
   x[j,t] in [0,1]      completed workload proportion per step
@@ -42,20 +42,27 @@ z_t = max(0, x_t - x_{t+1}) with x_{b+1} = 0, has sum z - 1 <= S_j - sum x
 and z can always be raised to sum z >= 1. So for any other job every x
 has a counter within the budget, and leaving it out changes no optimum.
 
-Cost minimization adds binary running flags x'[j,t] >= x[j,t] on steps at
-or beyond the undelayed completion, an end marker e_j >= t x'[j,t] + 1
-(one past the last running step), the delay fraction
-delta_j >= (e_j - submit_j - D_j)/D_j, and the price reduction
-c_j >= A delta_j D_j dt_hours R N_j. The objective minimizes total price
-reduction plus, under dynamic quota, the extra energy cost
+Cost minimization prices each step a job ends past its undelayed
+completion tS_j + D_j at A dt_hours R N_j. A late job, one whose available
+period reaches past tS_j + D_j, gets binary running flags x'[j,t] >= x[j,t]
+on the steps t >= tS_j + D_j and a delay d_j >= t + 1 - (tS_j + D_j) for
+each flagged t: the steps its end lies past tS_j + D_j. A job that cannot
+be late has no cost columns. The objective minimizes
+sum_j A dt_hours R N_j d_j plus, under dynamic quota, the extra energy cost
 pi * dt_hours * (sum_t p_t - sum_t p_base_t).
+
+At an integer point the smallest d_j, (last running step + 1) - (tS_j + D_j)
+or 0, is an integer. So without dynamic quota d_j is declared integer, which
+puts the objective on a lattice (steps of 1/8 at the nominal economics) on
+which HiGHS closes the last gap. Under quota the energy term is continuous:
+there is no lattice, and an integer d_j only made branching slower.
 
 Without dynamic quota the LP relaxation already implies the analytic bound
 of tightening_bound, so no row states it. Let L_j be job j's workload at or
 after tS_j + D_j. Work held back from a window step of j's baseline span is
 done later, so the flex and sustain rows give
-sum_j N_j L_j >= duration * count * target / G; the endfloor, delay and
-jobcost rows give c_j >= A dt_hours R N_j L_j, and their sum is the bound.
+sum_j N_j L_j >= duration * count * target / G; the endfloor rows give
+d_j >= L_j, so the price is at least A dt_hours R sum_j N_j L_j, the bound.
 """
 
 from __future__ import annotations
@@ -145,6 +152,7 @@ class ModelInstance:
 
     @property
     def n_binary(self) -> int:
+        """The number of integer columns: running flags and integer delays."""
         return int(np.sum(self.integrality > 0))
 
     def __repr__(self):
@@ -369,8 +377,8 @@ def build_costmin(jobs: JobTable, spec: DataCenterSpec, econ: EconParams,
     """Build the MILP minimizing the cost of providing target_kw flexibility.
 
     A target exceeding the flexibility optimum yields an infeasible model.
-    Per-job end-marker floors let the LP relaxation price delays, which
-    speeds up branching without changing the optimum.
+    Per-job delay floors let the LP relaxation price delays, which speeds
+    up branching without changing the optimum.
     """
     if target_kw < 0:
         raise ValueError("target_kw must be non-negative")
@@ -378,64 +386,53 @@ def build_costmin(jobs: JobTable, spec: DataCenterSpec, econ: EconParams,
         raise ModelBuildError("activation plan has no windows")
     b = _Builder()
     meta = _core(b, jobs, spec, baseline, plan, dq)
-    job = np.arange(len(jobs))
     win_a, win_b, x0 = meta["win_a"], meta["win_b"], meta["x0"]
-    D = jobs.compute_steps.astype(np.float64)
-    done = jobs.submit_step + D  # undelayed completion tS + D, as float
+    done = jobs.submit_step + jobs.compute_steps  # undelayed completion tS + D
 
-    # binary running flags only where the end-marker constraint can bind
-    t_first = jobs.submit_step + jobs.compute_steps
-    xp_n = np.maximum(win_b - t_first + 1, 0)
-    xp0 = b.columns(xp_n + 3)
-    e_col = xp0 + xp_n
-    delta_col, c_col = e_col + 1, e_col + 2
-    xj, xt = _ragged(t_first, xp_n)
-    xpc = xp0[xj] + xt - t_first[xj]
+    # running flags on the steps from tS + D on, and a delay, for late jobs only
+    xp_n = np.maximum(win_b - done + 1, 0)
+    late = xp_n > 0
+    job_l = np.flatnonzero(late)
+    xp0 = b.columns(xp_n + late)
+    d_of = xp0 + xp_n  # a late job's delay column
+    d_col = d_of[late]
+    xj, xt = _ragged(done, xp_n)
+    xpc = xp0[xj] + xt - done[xj]
     b.var_family("xp", xpc, (xj, xt), 0.0, 1.0, integer=True)
-    b.var_family("e", e_col, (job,), 0.0, INF)
-    b.var_family("delta", delta_col, (job,), 0.0, INF)
-    b.var_family("c", c_col, (job,), 0.0, INF)
+    b.var_family("d", d_col, (job_l,), 0.0, INF, integer=not dq.enabled)
 
-    floor = xp_n > 0
-    r_job = b.rows(2 * xp_n + floor + 2)
-    r_run = r_job[xj] + 2 * (xt - t_first[xj])
+    r_job = b.rows(2 * xp_n + late)
+    r_run = r_job[xj] + 2 * (xt - done[xj])
     x_late = x0[xj] + xt - win_a[xj]
     b.row_family("runflag", r_run, (xj, xt), 0.0, INF)
     b.entries(r_run, xpc, 1.0)
     b.entries(r_run, x_late, -1.0)
-    b.row_family("endmark", r_run + 1, (xj, xt), 1.0, INF)
-    b.entries(r_run + 1, e_col[xj], 1.0)
+    b.row_family("endmark", r_run + 1, (xj, xt), 1.0 - done[xj], INF)
+    b.entries(r_run + 1, d_of[xj], 1.0)
     b.entries(r_run + 1, xpc, -xt.astype(np.float64))
     # valid strengthening: workload done at or after tS+D occupies at least
-    # that many steps, so the end marker moves past tS+D by it; never
+    # that many steps, so the delay is at least that workload; never
     # binding at integer optima, but it lets the LP relaxation price delays
     # without the binaries
     r_floor = r_job + 2 * xp_n
-    b.row_family("endfloor", r_floor[floor], (job[floor],), done[floor], INF)
-    b.entries(r_floor[floor], e_col[floor], 1.0)
+    b.row_family("endfloor", r_floor[late], (job_l,), 0.0, INF)
+    b.entries(r_floor[late], d_col, 1.0)
     b.entries(r_floor[xj], x_late, -1.0)
-    r_delay = r_floor + floor
-    b.row_family("delay", r_delay, (job,), -done, INF)
-    b.entries(r_delay, delta_col, D)
-    b.entries(r_delay, e_col, -1.0)
-    kappa = econ.price_reduction_coeff * D * meta["dt_hours"] \
-        * econ.hourly_unit_price * jobs.resources
-    b.row_family("jobcost", r_delay + 1, (job,), 0.0, INF)
-    b.entries(r_delay + 1, c_col, 1.0)
-    b.entries(r_delay + 1, delta_col, -kappa)
 
     r_target = b.rows([1])
     b.row_family("service_target", r_target, (), plan.count * target_kw, INF)
     b.entries(r_target, meta["s0"] + np.arange(plan.count), 1.0)
 
-    objective = [(c_col, 1.0)]
+    step_cost = econ.price_reduction_coeff * meta["dt_hours"] \
+        * econ.hourly_unit_price * jobs.resources[late]
+    objective = [(d_col, step_cost)]
     obj_const = 0.0
     if dq.enabled:
         pi_dt = econ.energy_price * meta["dt_hours"]
         objective.append((meta["p0"] + np.arange(meta["T"]), pi_dt))
         obj_const = -pi_dt * float(np.sum(meta["baseline_power"]))
 
-    meta.update(econ=econ, e_col=e_col, delta_col=delta_col, c_col=c_col)
+    meta.update(econ=econ, d_col=d_col, step_cost=step_cost)
     return b.build("costmin", "min", objective, obj_const, meta)
 
 

@@ -79,8 +79,9 @@ _INTEGER_TOL = 1e-6
 def _new_highs(model: ModelInstance, backend: SolverBackend, relax: bool):
     """A fresh HiGHS instance holding the model, its LP relaxation with relax.
 
-    A max model is held as the minimization of its negated objective; the
-    options are the LP ones unless the model has binaries and relax is off.
+    A max model is held as the minimization of its negated objective and
+    constant, so HiGHS's bounds and MIP gap are the model's own; the options
+    are the LP ones unless the model has integer columns and relax is off.
     """
     from scipy.optimize._highspy import _core as highs
 
@@ -90,6 +91,7 @@ def _new_highs(model: ModelInstance, backend: SolverBackend, relax: bool):
     if model.n_binary > 0 and not relax:
         options.update(mip_rel_gap=backend.mip_rel_gap, time_limit=backend.time_limit_s)
     a = model.a_matrix.tocsc()
+    sign = 1.0 if model.sense == "min" else -1.0
     h = highs._Highs()
     for name, value in options.items():
         if h.setOptionValue(name, value) != highs.HighsStatus.kOk:
@@ -98,8 +100,7 @@ def _new_highs(model: ModelInstance, backend: SolverBackend, relax: bool):
     # a full-length integrality array even for an LP (an empty one is read
     # past its end), and HiGHS solves an all-zero one as an LP
     h.passModel(model.n_vars, model.n_rows, a.nnz, int(highs.MatrixFormat.kColwise),
-                int(highs.ObjSense.kMinimize), 0.0,
-                model.obj if model.sense == "min" else -model.obj,
+                int(highs.ObjSense.kMinimize), sign * model.obj_const, sign * model.obj,
                 model.var_lb, model.var_ub, model.row_lb, model.row_ub,
                 a.indptr, a.indices, a.data,
                 np.zeros_like(model.integrality) if relax else model.integrality)
@@ -253,7 +254,7 @@ def write_model(model: ModelInstance, path) -> None:
         _check(h.changeObjectiveSense(highs.ObjSense.kMaximize), "the sense")
         _check(h.changeColsCost(model.n_vars, np.arange(model.n_vars, dtype=np.int32),
                                 model.obj), "the objective")
-    _check(h.changeObjectiveOffset(model.obj_const), "the objective constant")
+        _check(h.changeObjectiveOffset(model.obj_const), "the objective constant")
     for i, name in enumerate(model.var_names):
         _check(h.passColName(i, name), f"column name {name}")
     for i, name in enumerate(model.row_names):
@@ -268,7 +269,7 @@ def _integral(model: ModelInstance, values: np.ndarray) -> bool:
 
 
 def _stats(model, info, is_mip, status, has_values, iterations, seconds) -> SolveStats:
-    """HiGHS's bounds turned back into the model's objective, sense and constant.
+    """HiGHS's bounds turned back into the model's sense.
 
     is_mip says whether info comes from a MILP run; iterations are added to
     the run's own, seconds are the time of every run.
@@ -276,7 +277,7 @@ def _stats(model, info, is_mip, status, has_values, iterations, seconds) -> Solv
     sign = 1.0 if model.sense == "min" else -1.0
 
     def bound(value):
-        return sign * value + model.obj_const if math.isfinite(value) else None
+        return sign * value if math.isfinite(value) else None
 
     primal = bound(info.objective_function_value) if has_values else None
     if is_mip:
@@ -303,9 +304,9 @@ def _decode(model: ModelInstance, values: np.ndarray, status: str,
     mean_flex = float(sustained.mean()) if sustained.size else 0.0
     if model.kind != "costmin":
         return ScheduleSolution(status=status, mean_flex_kw=mean_flex, stats=stats)
-    # every job's price cost in job order (ids need not be unique), clamped
-    # to its lower bound 0 as the sustained values are
-    price_cost = float(sum(np.maximum(values[meta["c_col"]], 0.0).tolist()))
+    # every late job's price cost in job order (ids need not be unique); an
+    # optimal delay is a whole number of steps, up to HiGHS's tolerances
+    price_cost = float(sum((meta["step_cost"] * np.round(values[meta["d_col"]])).tolist()))
     extra_cost = 0.0
     if meta["dq"].enabled:
         p0, T = meta["p0"], meta["T"]

@@ -20,7 +20,7 @@ from dcflex.problem import (
     retarget,
     tightening_bound,
 )
-from dcflex.solve import DEFAULT_BACKEND, SolverBackend, _run_highs, solve, write_model
+from dcflex.solve import _STATUS, DEFAULT_BACKEND, SolverBackend, _run_highs, solve, write_model
 
 from conftest import ECON, random_instance, random_plan, tiny_a_spec
 
@@ -94,44 +94,62 @@ def test_tightening_bound_values(tiny_a):
 
 def test_costmin_binaries_only_run_flags(tiny_a):
     jobs, spec, base, plan = tiny_a
-    model = build_costmin(jobs, spec, ECON, base, plan, 1.0)
-    binaries = [model.var_names[i] for i in range(model.n_vars) if model.integrality[i]]
-    assert binaries and all(n.startswith("xp_") for n in binaries)
-    # run flags start at the first step a delayed job could still occupy
-    assert binaries == ["xp_0_3", "xp_0_4", "xp_1_3", "xp_1_4"]
+    for dq, delays in ((DqParams(), ["d_0", "d_1"]), (DqParams(True, 0.5), [])):
+        model = build_costmin(jobs, spec, ECON, base, plan, 1.0, dq)
+        integers = [model.var_names[i] for i in range(model.n_vars) if model.integrality[i]]
+        # run flags start at the first step a delayed job could still occupy;
+        # the delays are integer only without quota
+        assert [n for n in integers if n.startswith("xp_")] == \
+            ["xp_0_3", "xp_0_4", "xp_1_3", "xp_1_4"]
+        assert [n for n in integers if not n.startswith("xp_")] == delays
+        # one delay column per late job, and no other cost column
+        families = {re.sub(r"(_\d+)+$", "", n) for n in model.var_names}
+        assert families - {"x", "z", "xdq", "np", "p", "f", "s"} == {"xp", "d"}
+        assert [n for n in model.var_names if n.startswith("d_")] == ["d_0", "d_1"]
 
 
 def _read_and_solve(path):
-    """HiGHS reading a written model back: its status, objective and names."""
+    """HiGHS reading a written model back: its status, objective, constant,
+    each column's (lb, ub, integer) by name, and its row names."""
     h = _Highs()
     h.setOptionValue("log_to_console", False)
     assert h.readModel(str(path)) == HighsStatus.kOk
-    h.run()
-    cols = [h.getColName(i)[1] for i in range(h.getNumCol())]
+    lp = h.getLp()
+    kinds = lp.integrality_ or [0] * lp.num_col_  # empty for an LP
+    cols = {h.getColName(i)[1]: (lb, ub, int(kind))
+            for i, (lb, ub, kind) in enumerate(zip(lp.col_lower_, lp.col_upper_, kinds))}
     rows = [h.getRowName(r)[1] for r in range(h.getNumRow())]
+    h.run()
     return (h.getModelStatus().name, h.getInfo().objective_function_value,
             h.getObjectiveOffset()[1], cols, rows)
 
 
 def test_lp_text_export(tiny_a, tmp_path):
-    """A written model read back by HiGHS has solve()'s optimum, constant and names."""
+    """A written model read back by HiGHS has solve()'s optimum, constant,
+    names, column bounds and integrality."""
     jobs, spec, base, plan = tiny_a
     flex = build_flexmax(jobs, spec, base, plan)
+    # without quota: binaries and unbounded general integers, the delays
+    plain = build_costmin(jobs, spec, ECON, base, plan, 1.0)
+    assert math.inf in plain.var_ub[plain.integrality > 0]
     # dynamic quota: binaries and a nonzero objective constant
     quota = build_costmin(jobs, spec, ECON, base, plan, 1.0, DqParams(True, 0.5))
     assert quota.n_binary > 0 and quota.obj_const == pytest.approx(-0.05)
-    optima = solve(flex, TIGHT).mean_flex_kw, solve(quota, TIGHT).total_cost
-    assert optima == pytest.approx((2.0, 0.125))
-    for model, optimum in zip((flex, quota), optima):
+    models = flex, plain, quota
+    optima = (solve(flex, TIGHT).mean_flex_kw, solve(plain, TIGHT).total_cost,
+              solve(quota, TIGHT).total_cost)
+    assert optima == pytest.approx((2.0, 0.125, 0.125))
+    for i, (model, optimum) in enumerate(zip(models, optima)):
         for suffix in (".lp", ".mps"):
-            path = tmp_path / f"{model.kind}{suffix}"
+            path = tmp_path / f"{i}{suffix}"
             write_model(model, path)
             status, objective, offset, cols, rows = _read_and_solve(path)
             assert status == "kOptimal"
             assert objective == pytest.approx(optimum, abs=1e-9)
             assert offset == model.obj_const
             # an LP file lists the columns in their order of first use
-            assert sorted(cols) == sorted(model.var_names)
+            assert cols == dict(zip(model.var_names, zip(
+                model.var_lb.tolist(), model.var_ub.tolist(), model.integrality.tolist())))
             assert rows == model.row_names
     with pytest.raises(ValueError, match="HiGHS rejected writing"):
         write_model(flex, tmp_path / "flexmax.txt")
@@ -173,24 +191,38 @@ def test_tiny_b_true_optimum_oracle(tiny_b):
 
 def costmin_without(jobs, spec, base, plan, target, dq=DqParams(), cost_bound=False,
                     end_floors=True) -> ModelInstance:
-    """The reference builder's cost model, with or without a cost_bound row
-    (build_costmin has none, and the row needs dq off) and with or without
-    its endfloor rows (build_costmin has them)."""
+    """The reference builder's e/delta/c cost model, with or without a
+    cost_bound row (build_costmin has none, and the row needs dq off) and
+    with or without its endfloor rows (build_costmin has them)."""
     return _as_instance("costmin", "min", _reference_costmin(
-        jobs, spec, ECON, base, plan, target, dq, cost_bound, end_floors))
+        jobs, spec, ECON, base, plan, target, dq, cost_bound, end_floors, lattice=False))
+
+
+def reference_optimum(model, backend=TIGHT):
+    """(status, objective, primal - dual bound) of a model as HiGHS solves it.
+
+    solve() would decode the delay columns that build_costmin writes into
+    meta, and the e/delta/c form has none, so its optimum is compared by
+    objective value.
+    """
+    highs_status, info, _, _ = _run_highs(model, backend)
+    gap = info.objective_function_value - info.mip_dual_bound if model.n_binary else 0.0
+    return _STATUS.get(highs_status.name, "error"), info.objective_function_value, gap
 
 
 def test_tighten_constraint_preserves_optimum_on_fixtures(tiny_a):
     jobs, spec, base, plan = tiny_a
-    with_bound = solve(costmin_without(jobs, spec, base, plan, 2.0, cost_bound=True), TIGHT)
+    status, with_bound, _ = reference_optimum(
+        costmin_without(jobs, spec, base, plan, 2.0, cost_bound=True))
     without = solve(build_costmin(jobs, spec, ECON, base, plan, 2.0), TIGHT)
-    assert abs(with_bound.total_cost - without.total_cost) < 1e-9
+    assert status == "optimal"
+    assert abs(with_bound - without.total_cost) < 1e-9
 
 
 def _relaxation_objective(model) -> float:
     status, info, _, _ = _run_highs(model, DEFAULT_BACKEND, relax=True)
     assert status.name == "kOptimal"
-    return info.objective_function_value + model.obj_const
+    return info.objective_function_value
 
 
 def test_costmin_relaxation_implies_the_tightening_bound(tiny_a):
@@ -222,11 +254,11 @@ def test_strengthening_rows_do_not_change_optimum():
         if not flex.ok or flex.mean_flex_kw < 1e-6:
             continue
         target = float(rng.uniform(0.2, 1.0)) * flex.mean_flex_kw
-        plain = solve(costmin_without(jobs, spec, base, plan, target, end_floors=False),
-                      TIGHT)
-        strong = solve(costmin_without(jobs, spec, base, plan, target), TIGHT)
-        assert plain.ok and strong.ok
-        assert strong.total_cost == pytest.approx(plain.total_cost, abs=1e-7)
+        plain = costmin_without(jobs, spec, base, plan, target, end_floors=False)
+        status, plain_cost, _ = reference_optimum(plain)
+        strong = solve(build_costmin(jobs, spec, ECON, base, plan, target), TIGHT)
+        assert status == "optimal" and strong.ok
+        assert strong.total_cost == pytest.approx(plain_cost, abs=1e-7)
         checked += 1
     assert checked >= 10
 
@@ -379,8 +411,15 @@ def _reference_flexmax(jobs, spec, baseline, plan, dq) -> dict:
                    [1.0 / plan.count] * plan.count, 0.0, meta)
 
 
-def _reference_costmin(jobs, spec, econ, baseline, plan, target_kw, dq, tighten,
-                       strengthen) -> dict:
+def _reference_costmin(jobs, spec, econ, baseline, plan, target_kw, dq, tighten=False,
+                       strengthen=True, lattice=True) -> dict:
+    """The cost model row by row. With lattice it is build_costmin's: a delay
+    column d_j per late job, integer without quota. Without it, every job has
+    an end marker e_j, a delay fraction delta_j and a price c_j with delay and
+    jobcost rows: a second statement of the same cost, the oracle for
+    build_costmin's optimum (tighten adds the cost_bound row, which needs dq
+    off). strengthen adds the endfloor rows."""
+    assert not (tighten and (lattice or dq.enabled))
     b = _ReferenceBuilder()
     meta = _reference_core(b, jobs, spec, baseline, plan, dq)
     n_jobs = len(jobs)
@@ -388,7 +427,7 @@ def _reference_costmin(jobs, spec, econ, baseline, plan, target_kw, dq, tighten,
     xp_t0 = np.zeros(n_jobs, dtype=np.int64)
     xp0 = np.full(n_jobs, -1, dtype=np.int64)
     xp_n = np.zeros(n_jobs, dtype=np.int64)
-    e_col = np.zeros(n_jobs, dtype=np.int64)
+    end_col = np.zeros(n_jobs, dtype=np.int64)  # d_j, or e_j without lattice
     delta_col = np.zeros(n_jobs, dtype=np.int64)
     c_col = np.zeros(n_jobs, dtype=np.int64)
     for j in range(n_jobs):
@@ -398,44 +437,56 @@ def _reference_costmin(jobs, spec, econ, baseline, plan, target_kw, dq, tighten,
             xp0[j] = b.vars([f"xp_{j}_{t}" for t in steps], 0.0, 1.0, integer=True)
             xp_t0[j] = t_first
             xp_n[j] = win_b[j] - t_first + 1
-        e_col[j] = b.vars([f"e_{j}"], 0.0, math.inf)
-        delta_col[j] = b.vars([f"delta_{j}"], 0.0, math.inf)
-        c_col[j] = b.vars([f"c_{j}"], 0.0, math.inf)
+            if lattice:
+                end_col[j] = b.vars([f"d_{j}"], 0.0, math.inf, integer=not dq.enabled)
+        if not lattice:
+            end_col[j] = b.vars([f"e_{j}"], 0.0, math.inf)
+            delta_col[j] = b.vars([f"delta_{j}"], 0.0, math.inf)
+            c_col[j] = b.vars([f"c_{j}"], 0.0, math.inf)
+    late = np.flatnonzero(xp_n > 0)
+    step_cost = np.array([econ.price_reduction_coeff * meta["dt_hours"]
+                          * econ.hourly_unit_price * float(jobs.resources[j]) for j in late])
     for j in range(n_jobs):
         D = float(jobs.compute_steps[j])
         tS = float(jobs.submit_step[j])
+        # d_j counts from tS + D, e_j from 0
+        shift = tS + D if lattice else 0.0
         for k in range(xp_n[j]):
             t = xp_t0[j] + k
             off = t - win_a[j]
             b.row(f"runflag_{j}_{t}", [xp0[j] + k, x0[j] + off], [1.0, -1.0], 0.0, math.inf)
-            b.row(f"endmark_{j}_{t}", [e_col[j], xp0[j] + k], [1.0, -float(t)], 1.0,
-                  math.inf)
+            b.row(f"endmark_{j}_{t}", [end_col[j], xp0[j] + k], [1.0, -float(t)],
+                  1.0 - shift, math.inf)
         if strengthen and xp_n[j] > 0:
             ext_cols = [x0[j] + (xp_t0[j] - win_a[j]) + k for k in range(xp_n[j])]
-            b.row(f"endfloor_{j}", [e_col[j]] + ext_cols, [1.0] + [-1.0] * xp_n[j],
-                  tS + D, math.inf)
-        b.row(f"delay_{j}", [delta_col[j], e_col[j]], [D, -1.0], -(tS + D), math.inf)
-        kappa = econ.price_reduction_coeff * D * meta["dt_hours"] \
-            * econ.hourly_unit_price * float(jobs.resources[j])
-        b.row(f"jobcost_{j}", [c_col[j], delta_col[j]], [1.0, -kappa], 0.0, math.inf)
+            b.row(f"endfloor_{j}", [end_col[j]] + ext_cols, [1.0] + [-1.0] * xp_n[j],
+                  tS + D - shift, math.inf)
+        if not lattice:
+            b.row(f"delay_{j}", [delta_col[j], end_col[j]], [D, -1.0], -(tS + D), math.inf)
+            kappa = econ.price_reduction_coeff * D * meta["dt_hours"] \
+                * econ.hourly_unit_price * float(jobs.resources[j])
+            b.row(f"jobcost_{j}", [c_col[j], delta_col[j]], [1.0, -kappa], 0.0, math.inf)
     b.row("service_target", [s0 + i for i in range(plan.count)], [1.0] * plan.count,
           plan.count * target_kw, math.inf)
     if tighten:
         # the analytic bound, valid only without dynamic quota
-        assert not dq.enabled
         bound = tightening_bound(econ, spec, plan, target_kw)
         b.row("cost_bound", [int(c) for c in c_col], [1.0] * n_jobs, bound, math.inf)
-    obj_cols, obj_vals, obj_const = [c_col[j] for j in range(n_jobs)], [1.0] * n_jobs, 0.0
+    if lattice:
+        obj_cols, obj_vals = [end_col[j] for j in late], step_cost.tolist()
+        meta.update(econ=econ, d_col=end_col[late], step_cost=step_cost)
+    else:
+        obj_cols, obj_vals = [c_col[j] for j in range(n_jobs)], [1.0] * n_jobs
+    obj_const = 0.0
     if dq.enabled:
         pi_dt = econ.energy_price * meta["dt_hours"]
         obj_cols += [meta["p0"] + t for t in range(meta["T"])]
         obj_vals += [pi_dt] * meta["T"]
         obj_const = -pi_dt * float(np.sum(meta["baseline_power"]))
-    meta.update(econ=econ, e_col=e_col, delta_col=delta_col, c_col=c_col)
     return b.build(obj_cols, obj_vals, obj_const, meta)
 
 
-_COLUMN_KEYS = ("x0", "p0", "f0", "s0", "e_col", "delta_col", "c_col")
+_COLUMN_KEYS = ("x0", "p0", "f0", "s0", "d_col")
 
 
 def _budget_free(ref, jobs, dq) -> set:
@@ -559,7 +610,7 @@ def test_array_assembly_matches_reference_builder():
         unbudgeted = _budget_free(ref, jobs, dq)
         _assert_same_model(build_flexmax(jobs, spec, base, plan, dq),
                            _without_counters(ref, unbudgeted))
-        ref = _reference_costmin(jobs, spec, ECON, base, plan, target, dq, False, True)
+        ref = _reference_costmin(jobs, spec, ECON, base, plan, target, dq)
         _assert_same_model(build_costmin(jobs, spec, ECON, base, plan, target, dq),
                            _without_counters(ref, unbudgeted))
         steps = plan.grid.steps
@@ -574,8 +625,8 @@ def test_array_assembly_matches_reference_builder():
 
 def test_budget_free_deletion_keeps_the_optima():
     """Reduced and reference models share the LP optimum and the cost-MILP optimum,
-    also where the reference adds the cost_bound row (without quota) or leaves
-    out the endfloor rows."""
+    also where the reference prices delays on e/delta/c columns, adds the
+    cost_bound row (without quota) or leaves out the endfloor rows."""
     compared = 0
     for jobs, spec, base, plan, dq, target, tighten, strengthen in _reference_cases():
         try:
@@ -589,14 +640,13 @@ def test_budget_free_deletion_keeps_the_optima():
         # the case's target in [0, 2] read as a share of the optimum in [0, 1]
         target = target / 2.0 * lp.mean_flex_kw
         cost = solve(build_costmin(jobs, spec, ECON, base, plan, target, dq))
-        cost_ref = solve(_as_instance("costmin", "min", _reference_costmin(
-            jobs, spec, ECON, base, plan, target, dq, tighten and not dq.enabled,
-            strengthen)))
-        assert cost.status == cost_ref.status
+        status, cost_ref, gap_ref = reference_optimum(costmin_without(
+            jobs, spec, base, plan, target, dq, tighten and not dq.enabled, strengthen),
+            DEFAULT_BACKEND)
+        assert cost.status == status
         if cost.ok:
-            within = max(cost.stats.primal_bound - cost.stats.dual_bound,
-                         cost_ref.stats.primal_bound - cost_ref.stats.dual_bound)
-            assert abs(cost.total_cost - cost_ref.total_cost) <= within + 1e-9
+            within = max(cost.stats.primal_bound - cost.stats.dual_bound, gap_ref)
+            assert abs(cost.total_cost - cost_ref) <= within + 1e-9
             compared += 1
     assert compared >= 30
 

@@ -15,6 +15,7 @@ from dcflex.solve import (
     DEFAULT_BACKEND,
     CellSolver,
     _decode,
+    _new_highs,
     _run_highs,
     solve,
 )
@@ -65,12 +66,12 @@ def test_tiny_a_costmin(tiny_a):
     assert sol.ok
     assert sol.total_cost == pytest.approx(0.25, abs=1e-6)
     assert sol.extra_energy_cost == 0.0
-    # job a runs steps 2..3: end marker 4, one step late on two, delay 0.5
+    # job a runs steps 2..3 and ends one step past its undelayed completion 3;
+    # both jobs can be late, so d_col holds a delay per job in job order
     _, _, values, _ = _run_highs(model, DEFAULT_BACKEND)
     meta = model.meta
     a = meta["job_ids"].index("a")
-    assert values[meta["e_col"][a]] == pytest.approx(4.0, abs=1e-6)
-    assert values[meta["delta_col"][a]] == pytest.approx(0.5, abs=1e-6)
+    assert values[meta["d_col"][a]] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_costmin_total_counts_every_job_of_a_repeated_id(tiny_a):
@@ -248,6 +249,22 @@ def test_solve_agrees_with_milp_on_status_and_objective():
             objective = float(model.obj @ x) + model.obj_const
             assert sol.stats.primal_bound == pytest.approx(
                 objective, rel=DEFAULT_BACKEND.mip_rel_gap, abs=1e-9), i
+
+
+def test_highs_holds_the_objective_constant(tiny_a):
+    """HiGHS takes its bounds and MIP gap on the model's own objective: its
+    instance carries the objective constant, negated with a max model's
+    objective, and the stats read the bounds back without adding it."""
+    jobs, spec, base, plan = tiny_a
+    quota = build_costmin(jobs, spec, ECON, base, plan, 1.0, DqParams(True, 0.5))
+    assert quota.obj_const != 0.0
+    for relax in (False, True):
+        offset = _new_highs(quota, DEFAULT_BACKEND, relax).getObjectiveOffset()[1]
+        assert offset == quota.obj_const
+    flex = replace(build_flexmax(jobs, spec, base, plan), obj_const=1.5)
+    assert _new_highs(flex, DEFAULT_BACKEND, False).getObjectiveOffset()[1] == -1.5
+    stats = solve(flex).stats
+    assert stats.primal_bound == stats.dual_bound == pytest.approx(2.0 + 1.5, abs=1e-6)
 
 
 def test_lp_stats(tiny_a):
