@@ -9,6 +9,16 @@ binding, which is used in this module and nowhere else; the public
 reads. Single-threaded HiGHS is deterministic, so the same sequence of
 models produces identical solutions regardless of scheduling.
 
+Every HiGHS run, LP, relaxation, warm re-solve and branch-and-bound
+alike, gets the options of `_new_highs`: presolve on, max-value scaling
+(``simplex_scale_strategy`` 4, power-of-two factors from each row's and
+column's largest entry, in place of the default equilibration) and the
+console log off. The LP algorithm is HiGHS's choice, dual simplex.
+Max-value scaling pays on flexibility LPs with many preemption counters:
+the 16 LPs of a benchmark ``flex_grid`` round (seed 1, 2-core Xeon) took
+2.89 s against 3.84 s under the default scaling, every optimum unchanged,
+and the interior-point method, at 5.27 s, was faster on none of them.
+
 The binding is imported inside the functions that call HiGHS, not at the
 top of the module: importing scipy takes about 0.4 s, which every dcflex
 command would otherwise pay, also those that solve nothing (``synth``,
@@ -54,6 +64,7 @@ _STATUS = {
     "kTimeLimit": "limit",
     "kIterationLimit": "limit",
     "kSolutionLimit": "limit",
+    "kInterrupt": "limit",
 }
 
 
@@ -86,8 +97,9 @@ def _new_highs(model: ModelInstance, backend: SolverBackend, relax: bool):
     from scipy.optimize._highspy import _core as highs
 
     # log_to_console, not output_flag: switching all output off moves some
-    # degenerate LPs to another of their optima
-    options = {"log_to_console": False, "presolve": "on"}
+    # degenerate LPs to another of their optima; scale strategy 4 is
+    # max-value scaling, see the module docstring
+    options = {"log_to_console": False, "presolve": "on", "simplex_scale_strategy": 4}
     if model.n_binary > 0 and not relax:
         options.update(mip_rel_gap=backend.mip_rel_gap, time_limit=backend.time_limit_s)
     a = model.a_matrix.tocsc()

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
 from dcflex.model import ActivationPlan, JobTable
 from dcflex.preprocess import baseline_profile
@@ -160,6 +160,33 @@ def test_solve_deterministic(tiny_a):
     model = build_flexmax(jobs, spec, base, plan)
     assert (_run_highs(model, DEFAULT_BACKEND)[2].tobytes()
             == _run_highs(model, DEFAULT_BACKEND)[2].tobytes())
+
+
+def test_budgeted_flexmax_is_deterministic():
+    # a max delay of 1.0 leaves most jobs more idle steps than their
+    # preemption budget, so they get a counter (z, np) and simplex iterates
+    rng = np.random.default_rng(0)
+    grid, jobs, spec, base = random_instance(rng, max_jobs=60, max_steps=48,
+                                             max_delay_frac=1.0)
+    model = build_flexmax(jobs, spec, base, random_plan(rng, grid, max_windows=4,
+                                                        max_duration=3))
+    assert sum(name.startswith("np_") for name in model.var_names) > 20
+    first, second = (_run_highs(model, DEFAULT_BACKEND) for _ in range(2))
+    assert first[0] == second[0] == HighsModelStatus.kOptimal
+    assert first[1].simplex_iteration_count == second[1].simplex_iteration_count > 100
+    assert first[2].tobytes() == second[2].tobytes()
+
+
+def test_every_highs_run_gets_max_value_scaling(tiny_a):
+    jobs, spec, base, plan = tiny_a
+    flex = build_flexmax(jobs, spec, base, plan)
+    cost = build_costmin(jobs, spec, ECON, base, plan, 2.0)
+    assert flex.n_binary == 0 and cost.n_binary > 0
+    # the LP, the cost model's relaxation and its branch-and-bound instance
+    for model, relax in ((flex, False), (cost, True), (cost, False)):
+        h = _new_highs(model, DEFAULT_BACKEND, relax)
+        assert h.getOptionValue("simplex_scale_strategy") == (HighsStatus.kOk, 4)
+        assert h.getOptionValue("solver") == (HighsStatus.kOk, "choose")
 
 
 # --- the direct HiGHS call against scipy.optimize.milp ----------------------
@@ -374,7 +401,7 @@ def test_unreachable_target_stats(tiny_a):
     assert stats.primal_bound is None and stats.gap is None
 
 
-_LIMITS = ("kTimeLimit", "kIterationLimit", "kSolutionLimit")
+_LIMITS = ("kTimeLimit", "kIterationLimit", "kSolutionLimit", "kInterrupt")
 _BY_NAME = {"kOptimal": "optimal", "kInfeasible": "infeasible", "kUnbounded": "unbounded",
             **{name: "limit" for name in _LIMITS}}
 
