@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
@@ -146,56 +147,54 @@ def parse_job_trace(path) -> RawJobTable:
     """Parse a job trace CSV into a RawJobTable.
 
     The header must name every column of JOB_TRACE_COLUMNS, in any order.
-    Rows with missing or non-numeric fields, non-positive resources, or
-    end < start are dropped and counted.
+    Rows that are blank or short, that hold a non-numeric or non-finite
+    time or resources, non-positive resources, end < start, or a negative
+    submit or start time are dropped and counted.
     """
-    ids, submit, start, end, res = [], [], [], [], []
-    dropped = 0
+    ids, values = [], array("d")
+    n_read = 0
     with read_rows(path, "job trace") as (header, reader):
         for name in JOB_TRACE_COLUMNS:
             if name not in header:
                 raise IngestError(f"job trace {path} missing column {name!r}")
-        positions = [header.index(name) for name in JOB_TRACE_COLUMNS]
-        i_id, i_sub, i_sta, i_end, i_res = positions
-        width = max(positions) + 1
-        for row in reader:
-            if len(row) < width:
-                dropped += 1
-                continue
+        i_id, i_sub, i_sta, i_end, i_res = (header.index(name) for name in JOB_TRACE_COLUMNS)
+        for n_read, row in enumerate(reader, 1):
             try:
-                sub = float(row[i_sub])
-                sta = float(row[i_sta])
-                e = float(row[i_end])
-                r = float(row[i_res])
-            except ValueError:
-                dropped += 1
+                job_id = row[i_id]
+                job = (float(row[i_sub]), float(row[i_sta]), float(row[i_end]), float(row[i_res]))
+            except (IndexError, ValueError):
                 continue
-            if not all(map(math.isfinite, (sub, sta, e, r))):
-                dropped += 1
-                continue
-            if e < sta or r <= 0 or sub < 0 or sta < 0:
-                dropped += 1
-                continue
-            ids.append(row[i_id])
-            submit.append(sub)
-            start.append(sta)
-            end.append(e)
-            res.append(r)
+            ids.append(job_id)
+            values.extend(job)
+    columns = np.frombuffer(values).reshape(-1, 4).T.copy()
+    submit, start, end, res = columns
+    keep = (np.isfinite(columns).all(axis=0) & (end >= start) & (res > 0)
+            & (submit >= 0) & (start >= 0))
+    if not keep.all():
+        ids = [ids[i] for i in np.flatnonzero(keep)]
+        submit, start, end, res = submit[keep], start[keep], end[keep], res[keep]
     if not ids:
         raise IngestError(f"job trace {path}: no valid rows")
     return RawJobTable(ids=ids, submit=submit, start=start, end=end,
-                       resources=res, dropped=dropped)
+                       resources=res, dropped=n_read - len(ids))
 
 
 def _daily_workload(table: RawJobTable, day_edges: np.ndarray) -> np.ndarray:
-    """Resource-seconds of running work overlapping each day bucket."""
-    loads = np.zeros(len(day_edges) - 1)
-    for d in range(len(loads)):
-        lo, hi = day_edges[d], day_edges[d + 1]
-        overlap = np.minimum(table.end, hi) - np.maximum(table.start, lo)
-        overlap = np.clip(overlap, 0.0, None)
-        loads[d] = float(np.sum(overlap * table.resources))
-    return loads
+    """Resource-seconds of running work overlapping each day bucket.
+
+    Each job adds its overlap with every bucket from the one holding its
+    start to the one holding its end, in one pass over (job, day) pairs.
+    """
+    first = np.maximum(np.searchsorted(day_edges, table.start, side="right") - 1, 0)
+    last = np.minimum(np.searchsorted(day_edges, table.end, side="left") - 1,
+                      len(day_edges) - 2)
+    spans = np.maximum(last - first + 1, 0)
+    job = np.repeat(np.arange(len(table)), spans)
+    day = first[job] + np.arange(len(job)) - np.repeat(np.cumsum(spans) - spans, spans)
+    overlap = (np.minimum(table.end[job], day_edges[day + 1])
+               - np.maximum(table.start[job], day_edges[day]))
+    return np.bincount(day, weights=overlap * table.resources[job],
+                       minlength=len(day_edges) - 1)
 
 
 def select_window(

@@ -2,8 +2,9 @@
 
 Workload (sum of compute_steps * resources) is conserved exactly by
 discretization of short jobs and by aggregation; horizon partition truncates
-workload by design. Per-day aggregation is independent across days and may
-run in parallel; results are merged in day order for determinism.
+workload by design. Aggregation clusters each day with its own generator;
+the days of a table draw their k-means++ seeds in lockstep and are grouped
+in one pass, with the bits of clustering each day on its own.
 """
 
 from __future__ import annotations
@@ -96,44 +97,59 @@ def partition_to_horizon(table: JobTable, horizon: tuple) -> JobTable:
     )
 
 
-def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Plain k-means on raw features with k-means++ seeding.
+def _choose(w: np.ndarray, n_rows: np.ndarray, rngs) -> np.ndarray:
+    """One draw per row i of w, as `rngs[i].choice(n, p=w[i, :n] / w[i, :n].sum())`.
 
-    Returns integer labels. Points are (start, complete) step pairs, both
-    in the same unit, so no feature scaling is applied. Ties in assignment
-    go to the lowest centroid index; empty clusters keep their centroid and
-    are dropped by the caller. Deterministic for a given rng state.
-
-    The work runs on the distinct points, each weighted by how many rows
-    sit on it, and the labels are bit-identical to clustering every row:
-    each k-means++ draw is still taken over all n rows, with the distances
-    of the distinct points expanded to the rows, so the generator makes the
-    same draws; coordinates are integer steps held in float64, so the
-    weighted centroid sums are exact and sum / count has the bits of the
-    mean over the member rows.
+    n is n_rows[i]; a row's entries past n must be 0, and w is overwritten.
+    Each row takes numpy's steps with their bits: the pairwise sum of its
+    own n entries, the divide, the prefix sums, the divide by the one at
+    its last entry, and one `random()` u whose draw is the count of
+    `cdf <= u`. The padding follows a row's entries, so their prefix sums
+    keep their bits, and it divides to exactly 1.0, which no u in [0, 1)
+    reaches.
     """
-    n = len(points)
-    # distinct points in (start, complete) order, through one integer key
-    start, complete = points.T.astype(np.int64)
-    _, first, inverse, counts = np.unique(start * (complete.max() + 1) + complete,
-                                          return_index=True, return_inverse=True,
-                                          return_counts=True)
-    uniq = points[first]
-    if len(uniq) <= k:
-        return inverse.astype(np.int64)
-    ux, uy = uniq[:, 0], uniq[:, 1]
+    w /= np.array([w[i, :n].sum() for i, n in enumerate(n_rows)])[:, None]
+    cdf = np.cumsum(w, axis=1, out=w)
+    cdf /= cdf[np.arange(len(w)), n_rows - 1][:, None]
+    return np.array([cdf[i].searchsorted(rng.random(), "right") for i, rng in enumerate(rngs)])
 
-    # k-means++ initialization; with more than k distinct points some point
-    # is never a centroid, so the drawing weights never sum to zero
-    centroids = np.empty((k, 2), dtype=np.float64)
-    centroids[0] = points[int(rng.integers(n))]
-    d2 = (ux - centroids[0, 0]) ** 2 + (uy - centroids[0, 1]) ** 2
-    for c in range(1, k):
-        row_d2 = d2[inverse]
-        centroids[c] = points[int(rng.choice(n, p=row_d2 / row_d2.sum()))]
-        d2 = np.minimum(d2, (ux - centroids[c, 0]) ** 2 + (uy - centroids[c, 1]) ** 2)
 
-    labels = np.zeros(len(uniq), dtype=np.int64)
+def _seed_centroids(ux, uy, slot, row_point, n_rows, k, rngs) -> np.ndarray:
+    """k-means++ seeds of several days, drawn in lockstep; returns (days, k, 2).
+
+    ux and uy hold the distinct points of every day, slot the day of each.
+    Row i of row_point maps day i's n_rows[i] rows, in ascending order, to
+    their points and is padded with len(ux), a point at distance 0. rngs
+    holds one generator per day, which makes the draws of seeding that
+    day's rows one by one: `integers(n)` for the first seed, then each
+    seed by `_choose` over the rows' squared distances to the nearest seed.
+    Each day must have more than k distinct points: then some point is
+    never a seed, so a day's weights never sum to zero.
+    """
+    days = np.arange(len(rngs))
+    centroids = np.empty((len(rngs), k, 2))
+    picks = row_point[days, [int(rng.integers(n)) for rng, n in zip(rngs, n_rows)]]
+    d2 = np.zeros(len(ux) + 1)
+    for c in range(k):
+        if c:
+            picks = row_point[days, _choose(d2.take(row_point, mode="clip"), n_rows, rngs)]
+        cx, cy = ux[picks], uy[picks]
+        centroids[:, c, 0], centroids[:, c, 1] = cx, cy
+        dist = (ux - cx[slot]) ** 2 + (uy - cy[slot]) ** 2
+        d2[:-1] = np.minimum(d2[:-1], dist) if c else dist
+    return centroids
+
+
+def _lloyd(ux, uy, counts, centroids) -> np.ndarray:
+    """Labels of Lloyd's iterations on distinct points weighted by counts.
+
+    Ties in assignment go to the lowest centroid index; an empty cluster
+    keeps its centroid. Coordinates are integer steps held in float64, so
+    the weighted centroid sums are exact and sum / count has the bits of
+    the mean over the member rows.
+    """
+    k = len(centroids)
+    labels = np.zeros(len(ux), dtype=np.int64)
     for _ in range(KMEANS_MAX_ITER):
         dist = (ux[:, None] - centroids[:, 0]) ** 2 + (uy[:, None] - centroids[:, 1]) ** 2
         new_labels = np.argmin(dist, axis=1)
@@ -145,7 +161,47 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
         for axis, coord in enumerate((ux, uy)):
             total = np.bincount(labels, weights=coord * counts, minlength=k)
             centroids[filled, axis] = total[filled] / size[filled]
-    return labels[inverse]
+    return labels
+
+
+def _kmeans_labels(start, complete, day, n_days, k, rngs) -> np.ndarray:
+    """Per-day k-means labels of every row, with k-means++ seeding.
+
+    Points are (start, complete) step pairs, both in the same unit, so no
+    feature scaling is applied; day numbers the rows' days 0..n_days-1 and
+    rngs holds one generator per day. A day with at most k distinct points
+    labels each by its index and draws nothing. The work runs on the
+    distinct points of each day, weighted by how many rows sit on them,
+    and the labels are bit-identical to clustering a day's rows one by
+    one: its k-means++ draws are still taken over all its rows (see
+    `_seed_centroids`).
+    """
+    # distinct points in (start, complete) order; the day follows from the
+    # start, so each day's points form one block
+    _, first, point_of, counts = np.unique(start * (complete.max() + 1) + complete,
+                                           return_index=True, return_inverse=True,
+                                           return_counts=True)
+    ux, uy = start[first].astype(np.float64), complete[first].astype(np.float64)
+    point_day = day[first]
+    point_lo = np.searchsorted(point_day, np.arange(n_days + 1))
+    point_label = np.arange(len(first)) - point_lo[point_day]
+
+    drawing = np.flatnonzero(np.diff(point_lo) > k)
+    if len(drawing):
+        # the points of a day that draws nothing are measured against the
+        # first drawing day's seeds, and no row of row_point reads them
+        slot_of = np.zeros(n_days, dtype=np.int64)
+        slot_of[drawing] = np.arange(len(drawing))
+        n_rows = np.bincount(day)[drawing]
+        row_point = np.full((len(drawing), n_rows.max()), len(first))
+        for i, d in enumerate(drawing):
+            row_point[i, :n_rows[i]] = point_of[day == d]
+        centroids = _seed_centroids(ux, uy, slot_of[point_day], row_point, n_rows, k,
+                                    [rngs[d] for d in drawing])
+        for i, d in enumerate(drawing):
+            block = slice(point_lo[d], point_lo[d + 1])
+            point_label[block] = _lloyd(ux[block], uy[block], counts[block], centroids[i])
+    return point_label[point_of]
 
 
 def aggregate_daily(
@@ -157,51 +213,44 @@ def aggregate_daily(
     """Aggregate each day's jobs into at most clusters_per_day jobs.
 
     Jobs are grouped by the calendar day of their submit step and clustered
-    on (start, complete) step pairs. Each cluster becomes one job spanning
-    the earliest start to the latest completion, with resources chosen so
-    the cluster workload is preserved exactly. Empty clusters are dropped.
-    Output is ordered by (day, start, completion, first row) for
-    determinism.
+    on (start, complete) step pairs, each day with its own generator
+    spawned from seed. Each cluster becomes one job spanning the earliest
+    start to the latest completion, with resources chosen so the cluster
+    workload is preserved exactly. Empty clusters are dropped. Output is
+    ordered by (day, start, completion, first row) for determinism.
 
-    Each cluster's workload is summed over its rows in ascending row
-    order, so together with the bit-identical labels of `_kmeans` the
-    result has the same bits as aggregating job by job.
+    Each cluster's workload is numpy's pairwise `np.sum` of its rows'
+    workloads in ascending row order, so together with the bit-identical
+    labels of `_kmeans_labels` the result has the same bits as clustering
+    and aggregating each day job by job.
     """
     if clusters_per_day < 1:
         raise ValueError("clusters_per_day must be >= 1")
     if len(table) == 0:
         return table
     seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    per_day = grid.steps_per_day
-    day_of = (table.submit_step - 1) // per_day
-    complete = table.complete_step
-    out_ids, out_submit, out_steps, out_res = [], [], [], []
-    days = np.unique(day_of)
-    day_rngs = {int(d): np.random.default_rng(s)
-                for d, s in zip(days, seed_seq.spawn(len(days)))}
-    for day in days:
-        members = np.flatnonzero(day_of == day)
-        starts = table.submit_step[members]
-        completes = complete[members]
-        points = np.column_stack([starts, completes]).astype(np.float64)
-        labels = _kmeans(points, clusters_per_day, day_rngs[int(day)])
-        # rows grouped by cluster, ascending within each cluster
-        order = np.argsort(labels, kind="stable")
-        rows = members[order]
-        _, lo = np.unique(labels[order], return_index=True)
-        hi = np.r_[lo[1:], len(rows)]
-        earliest = np.minimum.reduceat(starts[order], lo)
-        latest = np.maximum.reduceat(completes[order], lo)
-        ranked = np.lexsort((rows[lo], latest, earliest))
-        row_work = table.compute_steps[rows] * table.resources[rows]
-        work = np.array([np.sum(row_work[lo[c]:hi[c]]) for c in ranked])
-        agg_steps = latest[ranked] - earliest[ranked] + 1
-        out_ids.extend(f"d{int(day)}c{ci}" for ci in range(len(ranked)))
-        out_submit.append(earliest[ranked])
-        out_steps.append(agg_steps)
-        out_res.append(work / agg_steps)
-    return JobTable(out_ids, np.concatenate(out_submit), np.concatenate(out_steps),
-                    np.concatenate(out_res))
+    start, complete = table.submit_step, table.complete_step
+    days, day = np.unique((start - 1) // grid.steps_per_day, return_inverse=True)
+    rngs = [np.random.default_rng(s) for s in seed_seq.spawn(len(days))]
+    labels = _kmeans_labels(start, complete, day, len(days), clusters_per_day, rngs)
+
+    # rows grouped by (day, cluster), ascending within each cluster
+    key = day * clusters_per_day + labels
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    lo = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    hi = np.r_[lo[1:], len(order)]
+    earliest = np.minimum.reduceat(start[order], lo)
+    latest = np.maximum.reduceat(complete[order], lo)
+    cluster_day = day[order[lo]]
+    ranked = np.lexsort((order[lo], latest, earliest, cluster_day))
+    row_work = table.compute_steps[order] * table.resources[order]
+    work = np.array([row_work[lo[c]:hi[c]].sum() for c in ranked])
+    agg_steps = latest[ranked] - earliest[ranked] + 1
+    ranked_day = cluster_day[ranked]
+    rank = np.arange(len(ranked)) - np.searchsorted(ranked_day, ranked_day)
+    ids = [f"d{d}c{c}" for d, c in zip(days[ranked_day].tolist(), rank.tolist())]
+    return JobTable(ids, earliest[ranked], agg_steps, work / agg_steps)
 
 
 def baseline_profile(table: JobTable, spec: DataCenterSpec, grid: TimeGrid) -> BaselineProfile:

@@ -4,8 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dcflex import ingest
 from dcflex.ingest import (
     IngestError,
+    RawJobTable,
     parse_cloud_pricing,
     parse_job_trace,
     parse_price_series,
@@ -49,10 +51,29 @@ def test_parse_drops_bad_rows(tmp_path):
         ("bad", 0, 5000, 4000, 1),   # end < start
         ("worse", 0, 0, 100, -1),    # non-positive resources
         ("nan", 0, "oops", 100, 1),  # non-numeric
+        ("short", 0, 0, 100),        # no resources field
+        ("inf", 0, 0, "inf", 1),     # non-finite
+        ("zero", 0, 0, 100, 0),      # zero resources
+        ("early", 0, -10, 100, 1),   # negative start
+        (),                          # blank line
+        ("b", 5, 10, 20, 0.5),
     ])
     table = parse_job_trace(path)
-    assert len(table) == 1
-    assert table.dropped == 3
+    assert table.ids == ("a", "b")
+    assert table.dropped == 8
+    assert table.submit.tolist() == [0.0, 5.0]
+    assert table.start.tolist() == [0.0, 10.0]
+    assert table.end.tolist() == [3600.0, 20.0]
+    assert table.resources.tolist() == [2.0, 0.5]
+
+
+def test_parse_drops_a_row_cut_short_before_the_id(tmp_path):
+    path = tmp_path / "t.csv"
+    write_trace(path, [(0, 0, 3600, 2, "a"), (0, 0, 3600, 2)],
+                header=("submit_unix_s", "start_unix_s", "end_unix_s", "resources", "id"))
+    table = parse_job_trace(path)
+    assert table.ids == ("a",)
+    assert table.dropped == 1
 
 
 def test_parse_missing_column(tmp_path):
@@ -137,6 +158,42 @@ def test_select_window_too_short(tmp_path):
     table = uniform_trace(tmp_path, 30)
     with pytest.raises(IngestError, match="usable days"):
         select_window(table, 80, GRID)
+
+
+def per_day_loop_workload(table, day_edges):
+    """Daily loads as one full pass over the jobs per day."""
+    loads = np.zeros(len(day_edges) - 1)
+    for d in range(len(loads)):
+        overlap = (np.minimum(table.end, day_edges[d + 1])
+                   - np.maximum(table.start, day_edges[d]))
+        loads[d] = float(np.sum(np.clip(overlap, 0.0, None) * table.resources))
+    return loads
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_select_window_loads_match_a_per_day_loop(seed, monkeypatch):
+    # float-second jobs of minutes to days, some of zero length or on a
+    # day edge, over 90 days whose first and last ones are quiet
+    rng = np.random.default_rng(seed)
+    day_s = 86400.0
+    n = 3000
+    day = np.where(rng.random(n) < 0.02, rng.choice([0, 1, 88, 89], n), rng.integers(2, 88, n))
+    start = 1_700_000_123.25 + day_s * (day + rng.random(n))
+    start[:50] = np.round(start[:50] / day_s) * day_s
+    end = start + rng.exponential(4 * 3600.0, n) * (rng.random(n) < 0.95)
+    end[50:80] = start[50:80] + rng.uniform(day_s, 3 * day_s, 30)
+    table = RawJobTable(ids=[f"j{i}" for i in range(n)], submit=start, start=start,
+                        end=end, resources=rng.uniform(0.1, 8.0, n))
+
+    t0 = np.floor(start.min() / GRID.step_seconds) * GRID.step_seconds
+    edges = t0 + day_s * np.arange(int(np.ceil((end.max() - t0) / day_s)) + 1)
+    np.testing.assert_allclose(ingest._daily_workload(table, edges),
+                               per_day_loop_workload(table, edges), rtol=1e-12, atol=0)
+    got = select_window(table, 60, GRID, allowed_days=(60,))
+    monkeypatch.setattr(ingest, "_daily_workload", per_day_loop_workload)
+    want = select_window(table, 60, GRID, allowed_days=(60,))
+    assert got.span == want.span
+    assert got.ids == want.ids
 
 
 def test_select_window_days_validation(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from dcflex.ingest import RawJobTable
 from dcflex.model import DataCenterSpec, JobTable, TimeGrid
 from dcflex.preprocess import (
+    _choose,
     aggregate_daily,
     baseline_profile,
     discretize,
@@ -280,6 +281,65 @@ def test_aggregate_matches_reference_on_synthetic_traces(profile):
     for clusters in (100, 20, 3):
         got = aggregate_daily(table, GRID, clusters, seed=5)
         assert_same_bits(got, _reference_aggregate_daily(table, GRID, clusters, 5))
+
+
+def uneven_day_table(rng, sizes):
+    """Jobs of each day in sizes, {day: (jobs, distinct points)}, in shuffled rows."""
+    submit, steps = [], []
+    for day, (jobs, points) in sizes.items():
+        starts = day * 96 + rng.permutation(np.arange(1, 97))[:points]
+        pick = np.r_[np.arange(points), rng.integers(0, points, jobs - points)]
+        submit.append(starts[pick])
+        steps.append(np.full(jobs, 4))
+    n = sum(jobs for jobs, _ in sizes.values())
+    shuffle = rng.permutation(n)
+    return JobTable([f"j{i}" for i in range(n)], np.concatenate(submit)[shuffle],
+                    np.concatenate(steps)[shuffle], rng.uniform(0.01, 3.0, n))
+
+
+def test_aggregate_matches_reference_on_mixed_days():
+    # days with at most 20 distinct points draw nothing; the others draw in
+    # lockstep over rows padded to the 3000 of day 0; day 2 has no jobs
+    sizes = {0: (3000, 90), 1: (25, 21), 3: (1, 1), 4: (40, 20), 5: (700, 12),
+             6: (2, 2), 7: (300, 60), 9: (21, 21)}
+    table = uneven_day_table(np.random.default_rng(11), sizes)
+    got = aggregate_daily(table, GRID, 20, seed=4)
+    assert_same_bits(got, _reference_aggregate_daily(table, GRID, 20, 4))
+    assert [sum(i.startswith(f"d{d}c") for i in got.ids) for d in sizes] == \
+        [20, 20, 1, 20, 12, 2, 20, 20]
+
+
+@pytest.mark.parametrize("sizes", [{3: (500, 80)}, {0: (30, 7)}])
+def test_aggregate_matches_reference_on_one_day(sizes):
+    table = uneven_day_table(np.random.default_rng(2), sizes)
+    for clusters in (20, 1):
+        got = aggregate_daily(table, GRID, clusters, seed=6)
+        assert_same_bits(got, _reference_aggregate_daily(table, GRID, clusters, 6))
+
+
+def test_choose_draws_as_numpy_choice():
+    # the lockstep draw of k-means++ seeding against Generator.choice, on
+    # rows of 1 to 80 weights padded to the longest, many of them 0
+    rng = np.random.default_rng(2024)
+    for case in range(300):
+        n_rows = np.array([1]) if case == 0 else rng.integers(1, 81, rng.integers(1, 6))
+        rows = []
+        for n in n_rows:
+            w = (rng.integers(0, 40, n) ** 2).astype(np.float64) if case % 2 else rng.random(n)
+            w[rng.random(n) < 0.3] = 0.0
+            w[rng.integers(n)] += 1.0
+            rows.append(w)
+        padded = np.zeros((len(rows), n_rows.max()))
+        for i, w in enumerate(rows):
+            padded[i, :len(w)] = w
+        seeds = rng.integers(2**63, size=len(rows))
+        ours = [np.random.default_rng(s) for s in seeds]
+        numpy_own = [np.random.default_rng(s) for s in seeds]
+        got = _choose(padded, n_rows, ours)
+        want = [g.choice(len(w), p=w / w.sum()) for g, w in zip(numpy_own, rows)]
+        assert got.tolist() == want, f"_choose no longer draws as Generator.choice (case {case})"
+        for a, b in zip(ours, numpy_own):
+            assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_aggregate_validation():
