@@ -32,7 +32,6 @@ from .preprocess import (
     baseline_profile,
     discretize,
     partition_to_horizon,
-    read_job_table,
     utilization_stats,
     write_job_table,
     zero_queue,
@@ -77,7 +76,7 @@ from .market import (
     price_percentile_table,
     profitability_report,
 )
-from .report import heatmap_export, load_grid_csv, write_grid_csv
+from .report import heatmap_export, write_grid_csv
 from .synth import generate_synthetic_trace
 
 __version__ = "0.1.0"

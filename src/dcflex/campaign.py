@@ -201,10 +201,10 @@ def horizon_count(table: JobTable, grid: TimeGrid) -> int:
     return max(1, int(table.complete_step.max()) // grid.steps)
 
 
-def _prepare_horizon(table, spec, grid, h, master_seed, clusters_per_day, aggregate):
+def _prepare_horizon(table, spec, grid, h, master_seed, clusters_per_day):
     bounds = ((h - 1) * grid.steps + 1, h * grid.steps)
     part = partition_to_horizon(table, bounds)
-    if aggregate and len(part) > 0:
+    if clusters_per_day > 0 and len(part) > 0:
         part = aggregate_daily(part, grid, clusters_per_day,
                                derive_seed(master_seed, "agg", h))
     base = baseline_profile(part, spec, grid)
@@ -245,7 +245,7 @@ def _campaign_horizon(h, **run) -> list:
 
 
 def _horizon_records(h, table, spec, econ, grid, services, delays, fractions, dq,
-                     master_seed, backend, clusters_per_day, aggregate) -> list:
+                     master_seed, backend, clusters_per_day) -> list:
     """Every cell of one horizon: the flexibility LP, then each fraction of it.
 
     Fraction None records the LP optimum itself; a number records the cost
@@ -254,8 +254,7 @@ def _horizon_records(h, table, spec, econ, grid, services, delays, fractions, dq
     fractions from the largest down, so the records do not depend on the
     order of the fractions.
     """
-    part, base = _prepare_horizon(table, spec, grid, h, master_seed,
-                                  clusters_per_day, aggregate)
+    part, base = _prepare_horizon(table, spec, grid, h, master_seed, clusters_per_day)
     costed = sorted({frac for frac in fractions if frac is not None}, reverse=True)
     records = []
     for svc in services:
@@ -324,7 +323,6 @@ def run_campaign(
     master_seed: int = 0,
     backend: SolverBackend = DEFAULT_BACKEND,
     clusters_per_day: int = 100,
-    aggregate: bool = True,
     n_workers: int = 1,
 ) -> CampaignResult:
     """Flexibility and cost cells over services, delay limits and fractions.
@@ -338,9 +336,11 @@ def run_campaign(
     ACoF is total cost divided by shifted energy, split into the
     computing-price part (APCoF) and the extra-energy part (AECoF, nonzero
     only under dynamic quota); the decomposition is exact by construction.
-    econ is read only when some
-    fraction is a number. Delays must be finite and >= 0, and fractions
-    None or in [0, 1]; anything else raises ValueError before any solve.
+    econ is read only when some fraction is a number. Each day of a horizon
+    is aggregated into at most clusters_per_day jobs, and 0 leaves the jobs
+    as they are. Delays must be finite and >= 0, fractions None or in
+    [0, 1], and clusters_per_day >= 0; anything else raises ValueError
+    before any solve.
     """
     services = tuple(services)
     delays = tuple(float(d) for d in delays)
@@ -349,6 +349,8 @@ def run_campaign(
         raise ValueError(f"delays must be finite and >= 0, got {list(delays)}")
     if not all(f is None or 0.0 <= f <= 1.0 for f in fractions):
         raise ValueError(f"flex fractions must be none or in [0, 1], got {list(fractions)}")
+    if clusters_per_day < 0:
+        raise ValueError(f"clusters_per_day must be >= 0, got {clusters_per_day}")
     costed = any(frac is not None for frac in fractions)
     if costed and econ is None:
         raise ValueError("cost cells need EconParams")
@@ -356,7 +358,7 @@ def run_campaign(
     horizon = partial(_campaign_horizon, table=table, spec=spec, econ=econ, grid=grid,
                       services=services, delays=delays, fractions=fractions, dq=dq,
                       master_seed=master_seed, backend=backend,
-                      clusters_per_day=clusters_per_day, aggregate=aggregate)
+                      clusters_per_day=clusters_per_day)
     by_cell = {}
     for out in _run_horizons(horizon, n_h, n_workers):
         for r in out:
@@ -397,7 +399,6 @@ def run_campaign(
         "dynamic_quota": asdict(dq),
         "backend": asdict(backend),
         "clusters_per_day": clusters_per_day,
-        "aggregate": aggregate,
         "horizons": n_h,
     }
     if costed:

@@ -62,11 +62,7 @@ def _prepare_jobs(args, config):
     grid = cfg.grid_from_config(config)
     raw = parse_job_trace(args.trace)
     if getattr(args, "days", None):
-        raw = select_window(
-            raw, args.days, grid,
-            allowed_days=[int(d) for d in cfg.parse_float_list(config["ingest"]["allowed_days"])],
-            trim_frac=config["ingest"]["trim_frac"],
-        )
+        raw = select_window(raw, args.days, grid)
     if raw.span is not None:
         lo, hi = raw.span
         start = raw.start.clip(lo, hi)
@@ -133,7 +129,6 @@ def _cmd_campaign(args, config):
         master_seed=campaign["master_seed"],
         backend=SolverBackend(**config["solver"]),
         clusters_per_day=campaign["clusters_per_day"],
-        aggregate=campaign["aggregate"],
         n_workers=cfg.resolve_workers(campaign["workers"]),
     )
     result.config["toolkit"] = config

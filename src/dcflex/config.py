@@ -40,8 +40,7 @@ DEFAULTS = {
         "frequencies": "365,730,1460,2920",
         "delays": "0.1,0.2,0.5",
         "fractions": "none,0.25,0.5,0.75,1.0",  # none: the flexibility cell
-        "clusters_per_day": 100,
-        "aggregate": True,
+        "clusters_per_day": 100,  # 0: no aggregation
         "master_seed": 0,
         "workers": 0,  # 0: one worker per available core
     },
@@ -55,8 +54,6 @@ DEFAULTS = {
     },
     "ingest": {
         "currency_rate": 1.0,
-        "trim_frac": 0.5,
-        "allowed_days": "40,60,80",
     },
 }
 

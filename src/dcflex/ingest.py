@@ -24,7 +24,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -53,6 +52,13 @@ CLOUD_PRICING_COLUMNS = (
     "Total Rated Power (W)",
     "Notes",
 )
+
+#: Window lengths, in days, that select_window takes.
+WINDOW_DAYS = (40, 60, 80)
+
+#: select_window trims boundary days whose workload is below this share of
+#: the trace's daily mean.
+TRIM_FRAC = 0.5
 
 #: Per-unit cloud options, as ``dcflex ingest --pricing`` writes them.
 CLOUD_OPTION_COLUMNS = ("provider", "device_type", "model", "unit_count", "unit_price",
@@ -127,9 +133,6 @@ class RawJobTable:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def workload_resource_seconds(self) -> float:
-        return float(np.sum((self.end - self.start) * self.resources))
-
     def select(self, mask: np.ndarray, span=None) -> "RawJobTable":
         idx = np.flatnonzero(mask)
         return RawJobTable(
@@ -197,23 +200,18 @@ def _daily_workload(table: RawJobTable, day_edges: np.ndarray) -> np.ndarray:
                        minlength=len(day_edges) - 1)
 
 
-def select_window(
-    table: RawJobTable,
-    days: int,
-    grid: TimeGrid,
-    allowed_days: Sequence[int] = (40, 60, 80),
-    trim_frac: float = 0.5,
-) -> RawJobTable:
+def select_window(table: RawJobTable, days: int, grid: TimeGrid) -> RawJobTable:
     """Pick the most recent contiguous `days`-long slice of a trace.
 
-    Recording artifacts leave under-utilized stretches at the trace
-    boundaries; leading and trailing days whose workload stays below
-    trim_frac of the full-trace daily mean are trimmed first. The returned
-    table keeps every job overlapping the selected window (original times
-    untouched) and records the window as span.
+    days must be one of WINDOW_DAYS. Recording artifacts leave
+    under-utilized stretches at the trace boundaries; leading and trailing
+    days whose workload stays below TRIM_FRAC of the full-trace daily mean
+    are trimmed first. The returned table keeps every job overlapping the
+    selected window (original times untouched) and records the window as
+    span.
     """
-    if days not in allowed_days:
-        raise ValueError(f"days must be one of {tuple(allowed_days)}, got {days}")
+    if days not in WINDOW_DAYS:
+        raise ValueError(f"days must be one of {WINDOW_DAYS}, got {days}")
     if not len(table):
         raise IngestError("cannot select a window from an empty table")
 
@@ -225,7 +223,7 @@ def select_window(
         raise IngestError("trace has no positive duration")
     edges = t0 + day_s * np.arange(n_days + 1)
     loads = _daily_workload(table, edges)
-    threshold = trim_frac * loads.mean()
+    threshold = TRIM_FRAC * loads.mean()
 
     lo = 0
     while lo < n_days and loads[lo] < threshold:

@@ -17,15 +17,9 @@ from .scaling import percentile
 DEFAULT_PERCENTILES = (25.0, 50.0, 75.0, 90.0, 99.0, 99.9, 99.95, 99.99, 100.0)
 
 
-def price_percentile_table(series_list,
+def price_percentile_table(series_list: Sequence[PriceSeries],
                            percentiles: Sequence[float] = DEFAULT_PERCENTILES) -> dict:
-    """Percentile values per market.
-
-    Accepts a single PriceSeries or a list. Returns
-    ``{market: {percentile: value}}``.
-    """
-    if isinstance(series_list, PriceSeries):
-        series_list = [series_list]
+    """Percentile values per market: ``{market: {percentile: value}}``."""
     if not series_list:
         raise ValueError("no price series given")
     table = {}

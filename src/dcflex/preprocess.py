@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ingest import IngestError, RawJobTable, read_rows, write_rows
+from .ingest import RawJobTable, write_rows
 from .model import BaselineProfile, DataCenterSpec, JobTable, TimeGrid
 
 JOB_STEP_COLUMNS = ("id", "submit_step", "complete_step", "compute_steps", "resources")
@@ -311,22 +311,3 @@ def write_job_table(table: JobTable, path) -> None:
                ((table.ids[i], int(table.submit_step[i]), int(table.complete_step[i]),
                  int(table.compute_steps[i]), repr(float(table.resources[i])))
                 for i in range(len(table))))
-
-
-def read_job_table(path) -> JobTable:
-    """Read a step-indexed JobTable written by write_job_table."""
-    ids, submit, steps, res = [], [], [], []
-    with read_rows(path, "job table") as (header, reader):
-        if tuple(header) != JOB_STEP_COLUMNS:
-            raise IngestError(f"unexpected job table header {header!r}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < len(header):
-                raise IngestError(f"job table {path} line {reader.line_num}: "
-                                  f"{len(row)} fields, the header has {len(header)}")
-            ids.append(row[0])
-            submit.append(int(row[1]))
-            steps.append(int(row[3]))
-            res.append(float(row[4]))
-    return JobTable(ids, submit, steps, res)

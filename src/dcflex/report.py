@@ -1,6 +1,7 @@
 """Campaign grid exports: long-form CSV plus standalone SVG heatmaps.
 
-The grid CSV is written by write_grid_csv and read back by load_grid_csv.
+The long-form grid CSV is written by write_grid_csv: one row per cell and
+metric, cells in CellKey.sort_key order.
 
 SVGs are emitted by hand (rectangles and text, no plotting dependency).
 Each heatmap panel covers one (delay limit, flexibility fraction) pair of
@@ -14,7 +15,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .campaign import CampaignResult, CellKey
-from .ingest import IngestError, read_rows, write_rows
+from .ingest import write_rows
 
 CELL_W = 92
 CELL_H = 46
@@ -157,21 +158,3 @@ def write_grid_csv(grid: CampaignResult, path) -> None:
          repr(float(value)))
         for key in sorted(grid.cells, key=CellKey.sort_key)
         for metric, value in grid.cells[key].metrics().items()))
-
-
-def load_grid_csv(path) -> dict:
-    """Read a long-form grid CSV back into {(dur, freq, delay, frac): {metric: value}}."""
-    cells = {}
-    with read_rows(path, "grid CSV") as (header, reader):
-        if tuple(header) != GRID_CSV_COLUMNS:
-            raise IngestError(f"unexpected grid CSV header {header!r}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < len(header):
-                raise IngestError(f"grid CSV {path} line {reader.line_num}: "
-                                  f"{len(row)} fields, the header has {len(header)}")
-            dur, freq, delay = float(row[0]), float(row[1]), float(row[2])
-            frac = None if row[3] == "" else float(row[3])
-            cells.setdefault((dur, freq, delay, frac), {})[row[4]] = float(row[5])
-    return cells

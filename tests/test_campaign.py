@@ -144,7 +144,7 @@ def test_failing_horizon_is_recorded_as_error(monkeypatch, n_workers):
     monkeypatch.setattr(campaign, "build_flexmax", build)
     services = service_grid([0.25], [2920.0], grid)
     result = run_costmin_campaign(jobs, tiny_a_spec(), ECON, grid, services, [1.0],
-                                  [0.5, 1.0], master_seed=0, aggregate=False,
+                                  [0.5, 1.0], master_seed=0, clusters_per_day=0,
                                   n_workers=n_workers)
     for frac in (0.5, 1.0):
         cell = result.cell(0.25, 2920.0, 1.0, frac)
@@ -152,7 +152,7 @@ def test_failing_horizon_is_recorded_as_error(monkeypatch, n_workers):
         assert cell.windows_evaluated == 1 and cell.acof is not None
         assert cell.gaps[1] is None
     flex = run_flexmax_campaign(jobs, tiny_a_spec(), grid, services, [1.0], master_seed=0,
-                                aggregate=False, n_workers=n_workers)
+                                clusters_per_day=0, n_workers=n_workers)
     cell = flex.cell(0.25, 2920.0, 1.0)
     assert cell.statuses == ("optimal", "error") and cell.windows_evaluated == 1
 
@@ -230,7 +230,7 @@ def test_quota_cost_cell_at_zero_delay_solves_one_lp(monkeypatch):
     monkeypatch.undo()
 
     # the cell as it reads with each model solved on its own
-    part, base = campaign._prepare_horizon(jobs, spec, TINY_GRID, 1, seed, 100, True)
+    part, base = campaign._prepare_horizon(jobs, spec, TINY_GRID, 1, seed, 100)
     plan = campaign._cell_plan(TINY_GRID, services[0], 0.0, 1, seed)
     spec_0 = spec.with_max_delay(0.0)
     s_max = solve(build_flexmax(part, spec_0, base, plan, dq)).mean_flex_kw
@@ -277,6 +277,29 @@ def test_campaign_rejects_delays_and_fractions_out_of_range(monkeypatch, delays,
     assert counts == Counter()
 
 
+def test_campaign_rejects_a_negative_cluster_count(monkeypatch):
+    # it used to fail inside aggregate_daily and record `error` on every cell
+    jobs, spec, grid, services = _two_horizons()
+    counts = _count_layer_calls(monkeypatch)
+    with pytest.raises(ValueError, match="clusters_per_day must be >= 0, got -1"):
+        run_campaign(jobs, spec, ECON, grid, services, [0.5], [None, 1.0],
+                     clusters_per_day=-1)
+    assert counts == Counter()
+
+
+def test_zero_clusters_per_day_leaves_the_jobs_unaggregated(monkeypatch):
+    jobs, spec, grid, services = _two_horizons()
+    counts = _count_layer_calls(monkeypatch)
+    result = run_flexmax_campaign(jobs, spec, grid, services, [0.5], master_seed=5,
+                                  clusters_per_day=0)
+    assert counts["aggregate_daily"] == 0
+    assert counts["partition_to_horizon"] == counts["baseline_profile"] == 2
+    assert result.cell(0.25, 2920.0, 0.5).statuses == ("optimal", "optimal")
+    config = result.to_json_dict()["config"]
+    assert config["clusters_per_day"] == 0
+    assert "aggregate" not in config
+
+
 def test_campaign_accepts_the_ends_of_the_ranges():
     jobs, spec, grid, services = _two_horizons()
     result = run_campaign(jobs, spec, ECON, grid, services, [0.0, 1.0], [None, 0.0, 1.0],
@@ -298,7 +321,7 @@ def test_json_that_is_not_a_campaign_grid_is_rejected(payload):
 def test_flexmax_campaign_is_run_campaign_at_fraction_none():
     jobs, spec, grid, services = _two_horizons()
     options = dict(dq=DqParams(True, 0.5), master_seed=5, backend=DEFAULT_BACKEND,
-                   clusters_per_day=1, aggregate=False, n_workers=1)
+                   clusters_per_day=0, n_workers=1)
     flex = run_flexmax_campaign(jobs, spec, grid, services, delays=[0.5, 1.0], **options)
     both = run_campaign(jobs, spec, None, grid, services, [0.5, 1.0], [None], **options)
     assert flex.to_json() == both.to_json()
@@ -577,7 +600,7 @@ def test_fraction_after_branch_and_bound_starts_warm_on_a_new_instance(monkeypat
     # goes to branch-and-bound: that gives up the held instance, so the
     # model at 0.9 is passed whole to a new one that starts from the basis
     table, spec, grid, services = _general_like(20)
-    part, base = campaign._prepare_horizon(table, spec, grid, 1, 11, 100, True)
+    part, base = campaign._prepare_horizon(table, spec, grid, 1, 11, 100)
     plan = campaign._cell_plan(grid, services[0], 0.2, 1, 11)
     spec_d = spec.with_max_delay(0.2)
     s_max = solve(build_flexmax(part, spec_d, base, plan)).mean_flex_kw

@@ -74,7 +74,13 @@ def test_missing_file_is_reported(tmp_path, capsys):
      "unknown config key 'max_delay_frac' in [datacenter]"),
     ("[nominal]\nenergy_price = 0.1\n", "unknown config section [nominal]"),
     ("[ingest]\ncurrency = GBP\n", "unknown config key 'currency' in [ingest]"),
-], ids=["section", "key", "max_delay_frac", "nominal_energy_price", "currency"])
+    # clusters_per_day = 0 turns aggregation off; window selection trims at
+    # half the daily mean and takes 40, 60 or 80 days
+    ("[campaign]\naggregate = false\n", "unknown config key 'aggregate' in [campaign]"),
+    ("[ingest]\ntrim_frac = 0.3\n", "unknown config key 'trim_frac' in [ingest]"),
+    ("[ingest]\nallowed_days = 30,40\n", "unknown config key 'allowed_days' in [ingest]"),
+], ids=["section", "key", "max_delay_frac", "nominal_energy_price", "currency", "aggregate",
+        "trim_frac", "allowed_days"])
 def test_unknown_config_input_is_rejected(tmp_path, capsys, ini, message):
     config = tmp_path / "conf.ini"
     config.write_text(ini)
@@ -351,11 +357,11 @@ def test_mistyped_boolean_is_an_error(tmp_path, monkeypatch, capsys):
     assert err.rstrip().endswith(" in DCFLEX_DQ_ENABLED")
     monkeypatch.delenv("DCFLEX_DQ_ENABLED")
     config = tmp_path / "conf.ini"
-    config.write_text("[campaign]\naggregate = flase\n")
+    config.write_text("[dq]\nenabled = flase\n")
     assert cli_main(["--config", str(config), *args]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: not a boolean: 'flase'")
-    assert err.rstrip().endswith(" in [campaign] aggregate")
+    assert err.rstrip().endswith(" in [dq] enabled")
     assert not trace.exists()
 
 
@@ -374,6 +380,19 @@ def test_campaign_flags_out_of_range_are_errors(tmp_path, capsys, flags, message
                    "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+def test_negative_cluster_count_is_an_error(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    write_tiny_trace(trace)
+    config = tmp_path / "conf.ini"
+    config.write_text(TINY_CONFIG + "clusters_per_day = -1\n")
+    out = tmp_path / "grid.json"
+    rc = cli_main(["--config", str(config), "campaign", "--trace", str(trace),
+                   "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: clusters_per_day must be >= 0, got -1\n"
     assert not out.exists()
 
 

@@ -3,7 +3,9 @@
 The fast demos run end to end in a subprocess; the slow ones (minutes of
 solves) and the quickstart are only checked for importing names that
 exist, by reading their source with ast. The CSV headers that the README
-lists under "File formats" are checked against the package's constants.
+lists under "File formats" are checked against the package's constants,
+and every name the package exports must be used by the package, a demo
+or the benchmark, not by tests alone.
 """
 
 import ast
@@ -89,3 +91,27 @@ def test_readme_file_formats_match_the_module_constants():
         label, text = entry.split(": ", 1)
         listed[label] = tuple(next(csv.reader([re.search(r"`([^`]+)`", text).group(1)])))
     assert listed == README_HEADERS
+
+
+def names_used(source: str) -> set:
+    """Every name that source reads, imports or reads as an attribute."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_exported_name_has_a_user_outside_the_tests():
+    package = Path(dcflex.__file__).resolve().parent
+    exported = [alias.name for node in ast.parse((package / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(exported) > 50
+    sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    sources += sorted(DEMOS.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    used = set().union(*(names_used(p.read_text()) for p in sources))
+    assert [name for name in exported if name not in used] == []

@@ -32,11 +32,11 @@ def cost_grid(cells):
 
 def test_price_percentile_table():
     constant = series("dfs", [3.8] * 20)
-    table = price_percentile_table(constant, percentiles=(25, 50, 99.9))
+    table = price_percentile_table([constant], percentiles=(25, 50, 99.9))
     assert all(v == pytest.approx(3.8) for v in table["dfs"].values())
 
     two = series("toy", [0.0, 10.0])
-    table = price_percentile_table(two, percentiles=(50, 100))
+    table = price_percentile_table([two], percentiles=(50, 100))
     assert table["toy"][50.0] == pytest.approx(5.0)
     assert table["toy"][100.0] == pytest.approx(10.0)
 
@@ -70,7 +70,7 @@ def test_profitability_thresholds():
 def test_profitability_monotone_in_percentile():
     rng = np.random.default_rng(2)
     prices = np.sort(rng.uniform(0, 2, 500))
-    table = price_percentile_table(series("m", list(prices)),
+    table = price_percentile_table([series("m", list(prices))],
                                    percentiles=(10, 50, 90, 99, 100))
     grid = cost_grid([((1.0, 365.0, 0.1, 1.0), 0.9, False)])
     report = profitability_report(grid, table)

@@ -1,9 +1,10 @@
+import csv
 from dataclasses import replace
 
 import pytest
 
 from dcflex.campaign import CampaignResult, CellKey, CellResult
-from dcflex.report import heatmap_export, load_grid_csv, write_grid_csv
+from dcflex.report import GRID_CSV_COLUMNS, heatmap_export, write_grid_csv
 
 
 def one_cell_grid(value=1.0):
@@ -15,6 +16,18 @@ def one_cell_grid(value=1.0):
         windows_evaluated=1, degenerate=False, statuses=("optimal",),
     )
     return CampaignResult(kind="flexmax", config={"note": "fixture"}, cells={key: cell})
+
+
+def read_grid_rows(path) -> dict:
+    """{(dur, freq, delay, frac): {metric: value}} from a grid CSV's rows."""
+    with open(path, newline="") as handle:
+        rows = csv.reader(handle)
+        assert tuple(next(rows)) == GRID_CSV_COLUMNS
+        cells = {}
+        for dur, freq, delay, frac, metric, value in rows:
+            key = (float(dur), float(freq), float(delay), None if frac == "" else float(frac))
+            cells.setdefault(key, {})[metric] = float(value)
+    return cells
 
 
 def test_single_cell_heatmap(tmp_path):
@@ -35,7 +48,7 @@ def test_single_cell_heatmap(tmp_path):
 def test_csv_round_trip(tmp_path):
     grid = one_cell_grid(0.73125)
     heatmap_export(grid, "norm_flex", tmp_path / "g")
-    cells = load_grid_csv(tmp_path / "g.csv")
+    cells = read_grid_rows(tmp_path / "g.csv")
     assert cells[(0.25, 2920.0, 0.2, None)]["norm_flex"] == 0.73125
     assert cells[(0.25, 2920.0, 0.2, None)]["mean_flex_kw"] == 2.0
 
@@ -53,7 +66,7 @@ def test_grid_csv_lists_each_flexibility_cell_before_its_cost_cells(tmp_path):
                               for line in path.read_text().splitlines()[1:]))
     assert keys == [("0.25", "365.0", "0.2", ""), ("0.25", "2920.0", "0.2", ""),
                     ("0.25", "2920.0", "0.2", "0.0"), ("0.25", "2920.0", "0.2", "1.0")]
-    assert load_grid_csv(path) == {
+    assert read_grid_rows(path) == {
         (k.duration_hours, k.annual_frequency, k.max_delay_frac, k.flex_fraction):
         cell.metrics() for k, cell in grid.cells.items()}
 
