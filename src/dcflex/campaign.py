@@ -1,25 +1,29 @@
 """Activation sampling and rolling-horizon campaign execution.
 
 A campaign splits a multi-day job table into non-overlapping optimization
-horizons, samples activation windows per (horizon, cell), solves every
+horizons, samples activation windows per (horizon, service), solves every
 cell and averages per-horizon optima into a grid keyed by
 (duration_hours, annual_frequency, max_delay_frac, flex_fraction).
 
-One engine runs both kinds of campaign. Per horizon, service and delay it
-solves the flexibility LP (0 kW unsolved at zero delay without quota), then
-visits each flex fraction: fraction None is the flexibility cell (the LP
-optimum itself), and a number is the cost cell at that share of the
-optimum. A run has cost cells iff some fraction is a number, and that
-alone decides its kind and its econ echo. A horizon that raises is
-recorded as `error` on each of its cells.
+One engine runs both kinds of campaign. Per horizon and service it solves
+the flexibility LP at each delay (0 kW unsolved at zero delay without
+quota), then per delay visits each flex fraction: fraction None is the
+flexibility cell (the LP optimum itself), and a number is the cost cell at
+that share of the optimum. A run has cost cells iff some fraction is a
+number, and that alone decides its kind and its econ echo. A horizon that
+raises is recorded as `error` on each of its cells.
 
-Each (horizon, service, delay) solves its flexibility LP with solve(),
-then its cost model on one CellSolver: built once, solved cold at the
-largest fraction, and moved to each smaller one by its target row
+Each (horizon, service) builds its flexibility LP once, at the largest
+delay, and solves it on one CellSolver from the smallest delay up, each
+delay a change of column bounds (problem.at_delay), warm; that chain is
+dropped before any cost model is built. Each (horizon, service, delay)
+then solves its cost model on its own CellSolver: built once, solved cold
+at the largest fraction, and moved to each smaller one by its target row
 (problem.retarget), warm.
 
-Determinism: every random draw is seeded from
-hash(master_seed, horizon_index, cell_key), so results are bit-identical
+Determinism: every random draw is seeded from hash(master_seed,
+horizon_index, key), the activation windows by the service alone, so
+every delay of a service sees the same windows; results are bit-identical
 for a given configuration regardless of worker count or execution order.
 The worker count is deliberately left out of the echoed configuration.
 """
@@ -48,8 +52,8 @@ from .model import (
     TimeGrid,
 )
 from .preprocess import aggregate_daily, baseline_profile, partition_to_horizon
-from .problem import NO_DQ, DqParams, build_costmin, build_flexmax, retarget
-from .solve import DEFAULT_BACKEND, CellSolver, SolverBackend, solve
+from .problem import NO_DQ, DqParams, at_delay, build_costmin, build_flexmax, retarget
+from .solve import DEFAULT_BACKEND, CellSolver, SolverBackend
 
 log = logging.getLogger(__name__)
 
@@ -211,10 +215,26 @@ def _prepare_horizon(table, spec, grid, h, master_seed, clusters_per_day):
     return part, base
 
 
-def _cell_plan(grid, svc, delay, h, master_seed):
-    seed = derive_seed(master_seed, "act", h, svc.duration_hours,
-                       svc.annual_frequency, delay)
+def _cell_plan(grid, svc, h, master_seed):
+    """The activation windows of service svc on horizon h, shared by every delay."""
+    seed = derive_seed(master_seed, "act", h, svc.duration_hours, svc.annual_frequency)
     return sample_activations(grid, svc.window_count, svc.duration_steps, seed)
+
+
+def _flex_optima(part, spec, base, plan, delays, dq, backend) -> dict:
+    """(status, optimum or None) of the flexibility LP at each delay: one LP,
+    built at the largest delay, solved from the smallest up on one CellSolver.
+    Delay 0.0 without quota is 0 kW unsolved, as completion then forces x = 1
+    on the baseline span (baseline_profile checked that it fits)."""
+    optima = {0.0: ("optimal", 0.0)}
+    chain = sorted({d for d in delays if d > 0.0 or dq.enabled})
+    if chain:
+        lp = build_flexmax(part, spec.with_max_delay(chain[-1]), base, plan, dq)
+        cell = CellSolver(backend)
+        for delay in chain:
+            sol = cell.solve(at_delay(lp, part, delay))
+            optima[delay] = (sol.status, sol.mean_flex_kw if sol.ok else None)
+    return optima
 
 
 def _record(key, status, flex_kw, apcof=None, aecof=None, gap=None, degenerate=False):
@@ -258,24 +278,18 @@ def _horizon_records(h, table, spec, econ, grid, services, delays, fractions, dq
     costed = sorted({frac for frac in fractions if frac is not None}, reverse=True)
     records = []
     for svc in services:
+        plan = _cell_plan(grid, svc, h, master_seed)
+        optima = _flex_optima(part, spec, base, plan, delays, dq, backend)
         for delay in delays:
-            spec_d = spec.with_max_delay(delay)
-            plan = _cell_plan(grid, svc, delay, h, master_seed)
-            if delay == 0.0 and not dq.enabled:
-                # closed form: each available period is the baseline span, so
-                # completion forces x = 1 (baseline_profile checked it fits)
-                status, s_max = "optimal", 0.0
-            else:
-                lp = solve(build_flexmax(part, spec_d, base, plan, dq), backend)
-                status, s_max = lp.status, (lp.mean_flex_kw if lp.ok else None)
+            status, s_max = optima[delay]
             cell = CellSolver(backend)
             solved, cost = {}, None
             for frac in (costed if s_max is not None else ()):
                 target = frac * s_max
                 if target <= DEGENERATE_FLEX_KW:
                     break
-                cost = (build_costmin(part, spec_d, econ, base, plan, target, dq=dq)
-                        if cost is None else retarget(cost, target))
+                cost = (build_costmin(part, spec.with_max_delay(delay), econ, base, plan,
+                                      target, dq=dq) if cost is None else retarget(cost, target))
                 solved[frac] = cell.solve(cost)
             for frac in fractions:
                 key = CellKey(svc.duration_hours, svc.annual_frequency, delay, frac)

@@ -109,10 +109,8 @@ def load_config(path=None, overrides=None) -> dict:
     return config
 
 
-def parse_float_list(text) -> list:
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    return [float(part) for part in str(text).split(",") if part.strip()]
+def parse_float_list(text: str) -> list:
+    return [float(part) for part in text.split(",") if part.strip()]
 
 
 def parse_fractions(text) -> list:

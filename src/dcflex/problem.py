@@ -248,6 +248,21 @@ def available_window(submit_step, compute_steps, max_delay_frac: float,
     return submit_step, np.minimum(horizon_steps, submit_step + span - 1)
 
 
+def _available_periods(jobs: JobTable, max_delay_frac: float, T: int) -> tuple:
+    """Every job's available window; ModelBuildError if one cannot hold the job."""
+    D = jobs.compute_steps
+    win_a, win_b = available_window(jobs.submit_step.copy(), D, max_delay_frac, T)
+    job_errors = {
+        jobs.ids[j]: f"submit step {win_a[j]} beyond horizon {T}" if win_a[j] > T else
+        f"available period [{win_a[j]}, {win_b[j]}] shorter than compute time {D[j]}"
+        for j in np.flatnonzero((win_a > T) | (win_b - win_a + 1 < D))
+    }
+    if job_errors:
+        raise ModelBuildError(f"{len(job_errors)} job(s) have infeasible available periods",
+                              job_errors)
+    return win_a, win_b
+
+
 def _core(b: _Builder, jobs: JobTable, spec: DataCenterSpec,
           baseline: BaselineProfile, plan: ActivationPlan, dq: DqParams) -> dict:
     """Add the shared flexibility constraint set; returns the decode map."""
@@ -261,17 +276,8 @@ def _core(b: _Builder, jobs: JobTable, spec: DataCenterSpec,
 
     job = np.arange(len(jobs))
     D = jobs.compute_steps
-    win_a, win_b = available_window(jobs.submit_step.copy(), D, spec.max_delay_frac, T)
+    win_a, win_b = _available_periods(jobs, spec.max_delay_frac, T)
     span = win_b - win_a + 1
-    job_errors = {
-        jobs.ids[j]: f"submit step {win_a[j]} beyond horizon {T}" if win_a[j] > T else
-        f"available period [{win_a[j]}, {win_b[j]}] shorter than compute time {D[j]}"
-        for j in np.flatnonzero((win_a > T) | (span < D))
-    }
-    if job_errors:
-        raise ModelBuildError(
-            f"{len(job_errors)} job(s) have infeasible available periods", job_errors
-        )
 
     # preemption budget as a bound: (M^P / dt) * np <= eps * D
     if spec.preempt_overhead_min > 0:
@@ -445,6 +451,26 @@ def retarget(model: ModelInstance, target_kw: float) -> ModelInstance:
     row_lb = model.row_lb.copy()
     row_lb[-1] = len(model.meta["windows"]) * target_kw
     return replace(model, row_lb=row_lb)
+
+
+def at_delay(model: ModelInstance, jobs: JobTable, max_delay_frac: float) -> ModelInstance:
+    """build_flexmax's LP at max_delay_frac, made from its LP at a delay no smaller.
+
+    The x and xdq columns past each job's available period at max_delay_frac
+    get upper bound 0; the copy shares every other array. Its optimum is the
+    LP's built at max_delay_frac, as a counter budgeted only at the larger
+    delay cannot bind (module docstring). Raises ModelBuildError where
+    build_flexmax would, ValueError for a larger delay.
+    """
+    _, win_b = _available_periods(jobs, max_delay_frac, model.meta["T"])
+    if model.kind != "flexmax" or np.any(win_b > model.meta["win_b"]):
+        raise ValueError(f"{model!r} cannot be taken to delay {max_delay_frac}")
+    var_ub = model.var_ub.copy()
+    for name, cols, index, *_ in model.families[0]:
+        if name in ("x", "xdq"):
+            jj, t = index
+            var_ub[cols[t > win_b[jj]]] = 0.0
+    return replace(model, var_ub=var_ub, meta={**model.meta, "win_b": win_b})
 
 
 def tightening_bound(econ: EconParams, spec: DataCenterSpec, plan: ActivationPlan,

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dcflex import campaign
 from dcflex.campaign import (
-    derive_seed,
     run_costmin_campaign,
     run_flexmax_campaign,
     sample_activations,
@@ -199,9 +199,8 @@ def test_criterion_06_dynamic_quota(tiny_b):
     assert spec.max_delay_frac == 0.0 and spec.total_resources == 2.0
     assert list(base.power_kw) == [1.0, 1.0, 0.0, 0.0]
     services = service_grid([0.25], [2920.0], TINY_GRID)
-    seed = next(s for s in range(200) if sample_activations(
-        TINY_GRID, 1, 1,
-        derive_seed(s, "act", 1, 0.25, 2920.0, 0.0)).windows == ((1, 1),))
+    seed = next(s for s in range(200)
+                if campaign._cell_plan(TINY_GRID, services[0], 1, s).windows == ((1, 1),))
     for speedup in (0.5, 0.25):
         grid_result = run_costmin_campaign(jobs, spec, ECON, TINY_GRID,
                                            services, [0.0], [1.0],

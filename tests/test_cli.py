@@ -8,11 +8,12 @@ from pathlib import Path
 import pytest
 
 import dcflex
-from dcflex.campaign import CampaignResult, CellKey, CellResult, derive_seed, sample_activations
+from dcflex import campaign
+from dcflex.campaign import CampaignResult, CellKey, CellResult
 from dcflex.cli import cli_main
 from dcflex.config import load_config
 from dcflex.ingest import CLOUD_OPTION_COLUMNS
-from dcflex.model import EconParams, TimeGrid
+from dcflex.model import EconParams, ServiceSpec, TimeGrid
 from dcflex.scaling import scale_acof_dq
 from test_campaign import _count_layer_calls
 
@@ -43,12 +44,11 @@ def write_tiny_trace(path):
     )
 
 
-def seed_with_window_at_one(delay):
+def seed_with_window_at_one():
     grid = TimeGrid(15, 4)
+    svc = ServiceSpec.from_requirements(0.25, 2920.0, grid)
     for seed in range(200):
-        plan = sample_activations(grid, 1, 1,
-                                  derive_seed(seed, "act", 1, 0.25, 2920.0, delay))
-        if plan.windows == ((1, 1),):
+        if campaign._cell_plan(grid, svc, 1, seed).windows == ((1, 1),):
             return seed
     raise AssertionError("no suitable seed found")
 
@@ -113,7 +113,7 @@ def test_campaign_scale_report_profit(tmp_path):
     write_tiny_trace(trace)
     config = tmp_path / "conf.ini"
     config.write_text(TINY_CONFIG)
-    seed = seed_with_window_at_one(1.0)
+    seed = seed_with_window_at_one()
 
     grid_json = tmp_path / "flex.json"
     rc = cli_main(["--config", str(config), "campaign", "--trace", str(trace),
@@ -185,7 +185,7 @@ def test_one_campaign_run_writes_both_grids_and_solves_each_lp_once(tmp_path, mo
         out = tmp_path / f"{fractions}.json"
         counts = _count_layer_calls(monkeypatch)
         rc = cli_main(["--config", str(config), "campaign", "--trace", str(trace),
-                       "--fractions", fractions, "--seed", str(seed_with_window_at_one(1.0)),
+                       "--fractions", fractions, "--seed", str(seed_with_window_at_one()),
                        "--out", str(out)])
         monkeypatch.undo()
         assert rc == 0
@@ -279,7 +279,7 @@ def test_scale_rejects_a_grid_solved_at_zero_energy_price(tmp_path, capsys):
     config.write_text(TINY_CONFIG + "\n[econ]\nenergy_price = 0.0\n")
     cost_json = tmp_path / "cost.json"
     rc = cli_main(["--config", str(config), "campaign", "--trace", str(trace),
-                   "--seed", str(seed_with_window_at_one(1.0)), "--out", str(cost_json)])
+                   "--seed", str(seed_with_window_at_one()), "--out", str(cost_json)])
     assert rc == 0
     rc = cli_main(["scale", "--grid", str(cost_json), "--A", "0.5", "--R", "1",
                    "--G", "1", "--out", str(tmp_path / "scaled.json")])
@@ -315,7 +315,7 @@ def test_scale_to_the_nominal_parameters_without_pi_is_the_identity(tmp_path):
 def test_campaign_flags_reach_the_echoed_config(tmp_path):
     trace = tmp_path / "t.csv"
     write_tiny_trace(trace)
-    seed = seed_with_window_at_one(1.0)
+    seed = seed_with_window_at_one()
     flagged = tmp_path / "flagged.ini"
     flagged.write_text(TINY_CONFIG.replace("delays = 1.0", "delays = 0.5"))
     in_file = tmp_path / "in_file.ini"

@@ -11,9 +11,11 @@ from scipy.optimize._highspy._core import HighsStatus, _Highs
 from dcflex.model import ActivationPlan, JobTable, TimeGrid, round_half_away
 from dcflex.preprocess import baseline_profile
 from dcflex.problem import (
+    NO_DQ,
     DqParams,
     ModelBuildError,
     ModelInstance,
+    at_delay,
     available_window,
     build_costmin,
     build_flexmax,
@@ -688,3 +690,52 @@ def test_retarget_gives_the_cost_model_built_at_the_target(tiny_a):
         for target in (1.5, 0.5, 0.0):
             built = build_costmin(jobs, spec, ECON, base, plan, target, dq=dq)
             _same_arrays(retarget(first, target), built)
+
+
+def _columns(model, *names) -> int:
+    """The number of columns in the variable families of those names."""
+    return sum(len(cols) for name, cols, *_ in model.families[0] if name in names)
+
+
+def test_at_delay_keeps_the_optimum_of_the_model_built_at_that_delay():
+    # the LP at the largest delay with the columns past each job's window
+    # at a smaller delay held at 0 has the optimum of the LP built there,
+    # also where a job has a counter only at the larger delay
+    rng = np.random.default_rng(1414)
+    counted_only_wide = 0
+    for _ in range(40):
+        grid, jobs, spec, base = random_instance(rng, max_steps=10, max_delay_frac=1.0)
+        plan = random_plan(rng, grid)
+        for dq in (NO_DQ, DqParams(True, 0.5)):
+            wide = build_flexmax(jobs, spec, base, plan, dq)
+            for delay in (0.0, 0.2, 0.5, 1.0):
+                moved = at_delay(wide, jobs, delay)
+                built = build_flexmax(jobs, spec.with_max_delay(delay), base, plan, dq)
+                assert moved.a_matrix is wide.a_matrix
+                assert np.array_equal(moved.meta["win_b"], built.meta["win_b"])
+                # exactly the x and xdq columns the model built there lacks
+                assert np.sum(moved.var_ub < wide.var_ub) == \
+                    _columns(wide, "x", "xdq") - _columns(built, "x", "xdq")
+                counted_only_wide += _columns(wide, "np") > _columns(built, "np")
+                got, cold = solve(moved), solve(built)
+                assert got.status == cold.status == "optimal"
+                assert got.mean_flex_kw == pytest.approx(cold.mean_flex_kw, rel=1e-12,
+                                                         abs=1e-12), delay
+    assert counted_only_wide > 0
+
+
+def test_at_delay_refuses_what_build_flexmax_refuses(tiny_a):
+    jobs, spec, base, plan = tiny_a
+    wide = build_flexmax(jobs, spec.with_max_delay(0.5), base, plan)
+    with pytest.raises(ValueError, match="cannot be taken to delay 1.0"):
+        at_delay(wide, jobs, 1.0)
+    with pytest.raises(ValueError, match="cannot be taken to delay 0.5"):
+        at_delay(build_costmin(jobs, spec, ECON, base, plan, 1.0), jobs, 0.5)
+    # job b, submitted at step 3, cannot run 3 steps in a 4-step horizon
+    late = JobTable(["a", "b"], [1, 3], [2, 3], [1.0, 1.0])
+    with pytest.raises(ModelBuildError) as built:
+        build_flexmax(late, spec.with_max_delay(0.0), base, plan)
+    with pytest.raises(ModelBuildError) as moved:
+        at_delay(wide, late, 0.0)
+    assert moved.value.job_errors == built.value.job_errors
+    assert list(moved.value.job_errors) == ["b"]

@@ -9,7 +9,7 @@ from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
 from dcflex.model import ActivationPlan, JobTable
 from dcflex.preprocess import baseline_profile
-from dcflex.problem import DqParams, build_costmin, build_flexmax, retarget
+from dcflex.problem import DqParams, at_delay, build_costmin, build_flexmax, retarget
 from dcflex.solve import (
     _INTEGER_TOL,
     DEFAULT_BACKEND,
@@ -447,23 +447,30 @@ def _agree(got, expected):
             assert value == pytest.approx(other, rel=1e-9, abs=1e-12), name
 
 
-def test_cell_solver_takes_only_models_that_differ_in_bounds(tiny_a):
+def test_cell_solver_takes_only_models_that_differ_in_bounds(tiny_a, caplog):
     jobs, spec, base, plan = tiny_a
     cell = CellSolver()
     flex = build_flexmax(jobs, spec, base, plan, DqParams(True, 0.5))
     assert cell.solve(flex).ok
-    var_ub = flex.var_ub.copy()
-    var_ub[0] = 0.0
     # fewer columns, the same shape with other completion coefficients,
-    # another objective, another sense and another column bound
+    # another objective and another sense
     for other in (build_flexmax(jobs, spec.with_max_delay(0.0), base, plan),
                   build_flexmax(jobs, spec, base, plan, DqParams(True, 0.25)),
-                  replace(flex, obj=2.0 * flex.obj), replace(flex, sense="min"),
-                  replace(flex, var_ub=var_ub)):
-        with pytest.raises(ValueError, match="in more than its row bounds"):
+                  replace(flex, obj=2.0 * flex.obj), replace(flex, sense="min")):
+        with pytest.raises(ValueError, match="in more than its bounds"):
             cell.solve(other)
     # a refused model leaves the instance as it was
     _agree(cell.solve(flex), solve(flex))
+
+    # changed column bounds are sent to the held instance, which re-solves
+    # warm: to each smaller delay and back
+    with caplog.at_level(logging.DEBUG, logger="dcflex.solve"):
+        for delay in (0.5, 0.0, 1.0):
+            moved = at_delay(flex, jobs, delay)
+            _agree(cell.solve(moved), solve(moved))
+    assert [m.rsplit(" ", 2)[1] for m in caplog.messages] == ["warm", "cold"] * 3
+    with pytest.raises(ValueError, match="in more than its bounds"):
+        cell.solve(replace(moved, obj=2.0 * flex.obj))
 
     cost = build_costmin(jobs, spec, ECON, base, plan, 2.0)
     cell = CellSolver()
